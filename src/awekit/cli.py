@@ -9,7 +9,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import blobio, corpus as corpus_mod, dtw as dtw_mod, matcher, metrics, model as model_mod
+from . import blobio, codec, corpus as corpus_mod, dtw as dtw_mod, matcher, metrics
+from . import model as model_mod
 from .config import RunConfig
 from .errors import AwekitError, MissingArtifactError, ValidationError
 from .features import fbank, read_wav
@@ -21,23 +22,16 @@ def _fail(err: AwekitError):
     sys.exit(2)
 
 
-def _load_config(config_path, **overrides) -> RunConfig:
+def _load_config(config_path, seed, alpha, softmax, **overrides) -> RunConfig:
     cfg = RunConfig.load(config_path) if config_path else RunConfig()
-    seed = overrides.pop("seed", None)
+    changes = {key: value for key, value in overrides.items() if value is not None}
+    model = {"seed": seed, "alpha": alpha, "softmax_mode": softmax}
+    model = {key: value for key, value in model.items() if value is not None}
     if seed is not None:
-        cfg.corpus = dataclasses.replace(cfg.corpus, seed=seed)
-        cfg.model = dataclasses.replace(cfg.model, seed=seed)
-    alpha = overrides.pop("alpha", None)
-    if alpha is not None:
-        cfg.model = dataclasses.replace(cfg.model, alpha=alpha)
-    softmax = overrides.pop("softmax", None)
-    if softmax is not None:
-        cfg.model = dataclasses.replace(cfg.model, softmax_mode=softmax)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, Path(value) if key == "workdir" else value)
-    cfg.__post_init__()
-    return cfg
+        changes["corpus"] = dataclasses.replace(cfg.corpus, seed=seed)
+    if model:
+        changes["model"] = dataclasses.replace(cfg.model, **model)
+    return dataclasses.replace(cfg, **changes)
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -75,9 +69,8 @@ def _write_json(path: Path, payload: dict):
 @click.option("--templates-per-keyword", type=int, default=None)
 @click.option("--alpha", type=float, default=None, help="Variability-invariant loss weight.")
 @click.option("--softmax", type=click.Choice(["one", "block"]), default=None)
-@click.option("--threads", type=int, default=None)
 @click.pass_context
-def main(ctx, config_path, workdir, seed, system, fusion, templates_per_keyword, alpha, softmax, threads):
+def main(ctx, config_path, workdir, seed, system, fusion, templates_per_keyword, alpha, softmax):
     """Query-by-example spoken term detection pipeline."""
     try:
         ctx.obj = _load_config(
@@ -89,7 +82,6 @@ def main(ctx, config_path, workdir, seed, system, fusion, templates_per_keyword,
             templates_per_keyword=templates_per_keyword,
             alpha=alpha,
             softmax=softmax,
-            threads=threads,
         )
     except AwekitError as e:
         _fail(e)
@@ -158,7 +150,7 @@ def train(cfg: RunConfig):
         _write_json(cfg.model_path.parent / "provenance.json", cfg.provenance())
         _write_json(
             cfg.train_report_path,
-            {"provenance": cfg.provenance(), **report.to_dict()},
+            {"provenance": cfg.provenance(), **codec.dump(report)},
         )
     except AwekitError as e:
         _fail(e)
@@ -201,16 +193,11 @@ def embed(cfg: RunConfig):
 
         utt_index = []
         for utt_id, seq in bundle.utterances:
-            segs = matcher.window_segments(seq, cfg.window)
-            embs = model_mod.embed_sequences(params, mcfg, [win for _, win in segs])
+            starts, embs = matcher.embed_windows(params, mcfg, seq, cfg.window)
             blob = f"utt_{utt_id:05d}.awef"
             blobio.write_blob(cfg.embeddings_dir / blob, embs)
             utt_index.append(
-                {
-                    "utterance_id": utt_id,
-                    "blob": blob,
-                    "window_starts": [s for s, _ in segs],
-                }
+                {"utterance_id": utt_id, "blob": blob, "window_starts": starts.tolist()}
             )
         _write_json(
             cfg.embeddings_dir / "index.json",
@@ -250,9 +237,7 @@ def search(cfg: RunConfig, dump_traces):
         else:
             if cfg.fusion == "mean":
                 raise ValidationError("system 'sdtw' supports fusion 'none' or 'dtw'")
-            rankings = dtw_mod.sdtw_search(
-                templates, bundle.utterances, fusion=cfg.fusion, threads=cfg.threads
-            )
+            rankings = dtw_mod.sdtw_search(templates, bundle.utterances, fusion=cfg.fusion)
         for keyword_id in sorted(rankings):
             for rank, (utt_id, score) in enumerate(rankings[keyword_id].entries, start=1):
                 rec = {
@@ -314,7 +299,7 @@ def eval_cmd(cfg: RunConfig):
             cfg.report_path,
             {
                 "provenance": cfg.provenance(),
-                **report.to_dict(),
+                **codec.dump(report),
                 "groups": metrics.group_means(report, language),
             },
         )

@@ -1,0 +1,74 @@
+"""JSON <-> dataclass codec for configs and reports.
+
+`dump` is `dataclasses.asdict` with paths as strings. `load` builds a
+dataclass from parsed JSON and rejects unknown keys, wrong types and
+non-object sections with a ValidationError naming the dotted key; range
+checks stay in each class's `__post_init__`.
+"""
+
+import dataclasses
+import types
+import typing
+from pathlib import Path
+
+from .errors import ValidationError
+
+
+def dump(record) -> dict:
+    """JSON-ready dict of a dataclass instance (nested ones included)."""
+    return dataclasses.asdict(record, dict_factory=_json_dict)
+
+
+def _json_dict(items) -> dict:
+    return {k: str(v) if isinstance(v, Path) else v for k, v in items}
+
+
+def load(cls, data, where: str = ""):
+    """Instance of dataclass `cls` from parsed JSON; missing keys keep defaults."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where or cls.__name__} must be a JSON object, got {_kind(data)}")
+    hints = typing.get_type_hints(cls)
+    names = {f.name for f in dataclasses.fields(cls) if f.init}
+    kwargs = {}
+    for key, value in data.items():
+        at = f"{where}.{key}" if where else key
+        if key not in names:
+            raise ValidationError(f"unknown key {at!r}")
+        kwargs[key] = _value(hints[key], value, at)
+    return cls(**kwargs)
+
+
+def _kind(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _value(tp, value, at: str):
+    if dataclasses.is_dataclass(tp):
+        return load(tp, value, at)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (types.UnionType, typing.Union):  # only `X | None` is used
+        if value is None:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _value(inner, value, at)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"{at} must be a list, got {_kind(value)}")
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ValidationError(f"{at} must have {len(args)} items, got {len(value)}")
+        return tuple(_value(a, v, f"{at}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if tp is bool:
+        ok = isinstance(value, bool)
+    elif tp is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif tp is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif tp in (str, Path):
+        ok = isinstance(value, str)
+    else:
+        raise TypeError(f"{at}: no JSON decoding for field type {tp}")
+    if not ok:
+        raise ValidationError(f"{at} must be {tp.__name__}, got {_kind(value)}")
+    return Path(value) if tp is Path else value

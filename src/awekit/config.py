@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__
+from . import __version__, codec
 from .corpus import CorpusSpec
 from .errors import ValidationError
 from .features import FbankConfig
@@ -27,7 +27,6 @@ class RunConfig:
     system: str = "awe"
     fusion: str = "mean"
     templates_per_keyword: int = 5
-    threads: int = 1
 
     def __post_init__(self):
         self.workdir = Path(self.workdir)
@@ -37,8 +36,6 @@ class RunConfig:
             raise ValidationError(f"fusion must be one of {VALID_FUSIONS}, got {self.fusion!r}")
         if self.templates_per_keyword < 1:
             raise ValidationError("templates_per_keyword must be >= 1")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
 
     # fixed workdir layout
     @property
@@ -73,66 +70,19 @@ class RunConfig:
     def report_path(self) -> Path:
         return self.workdir / "reports" / "metrics.json"
 
-    def to_dict(self) -> dict:
-        return {
-            "workdir": str(self.workdir),
-            "corpus": self.corpus.to_dict(),
-            "fbank": {
-                "frame_length": self.fbank.frame_length,
-                "frame_shift": self.fbank.frame_shift,
-                "n_mels": self.fbank.n_mels,
-                "fmin": self.fbank.fmin,
-                "fmax": self.fbank.fmax,
-                "log_floor": self.fbank.log_floor,
-                "preemphasis": self.fbank.preemphasis,
-            },
-            "model": self.model.to_dict(),
-            "window": {
-                "window_seconds": self.window.window_seconds,
-                "stride_frames": self.window.stride_frames,
-                "sma_len": self.window.sma_len,
-            },
-            "system": self.system,
-            "fusion": self.fusion,
-            "templates_per_keyword": self.templates_per_keyword,
-            "threads": self.threads,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        kwargs = {}
-        if "workdir" in d:
-            kwargs["workdir"] = Path(d["workdir"])
-        if "corpus" in d:
-            kwargs["corpus"] = CorpusSpec.from_dict(d["corpus"])
-        if "fbank" in d:
-            kwargs["fbank"] = FbankConfig(**d["fbank"])
-        if "model" in d:
-            kwargs["model"] = ModelConfig.from_dict(d["model"])
-        if "window" in d:
-            kwargs["window"] = WindowConfig(**d["window"])
-        for key in ("system", "fusion", "templates_per_keyword", "threads"):
-            if key in d:
-                kwargs[key] = d[key]
-        unknown = set(d) - {"workdir", "corpus", "fbank", "model", "window"} - set(kwargs)
-        unknown -= {"system", "fusion", "templates_per_keyword", "threads"}
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
-
     @classmethod
     def load(cls, path) -> "RunConfig":
         try:
             data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ValidationError(f"config {path} is not valid JSON: {e}") from e
-        return cls.from_dict(data)
+        return codec.load(cls, data)
 
     def config_hash(self) -> str:
         # workdir is a storage location, not part of the run's semantics:
         # the same config in two directories must hash (and rerun) identically
-        payload = {k: v for k, v in self.to_dict().items() if k != "workdir"}
+        payload = codec.dump(self)
+        del payload["workdir"]
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 

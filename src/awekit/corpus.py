@@ -13,13 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import codec
 from .blobio import blob_checksum, read_blob, write_blob
-from .errors import (
-    FormatError,
-    IntegrityError,
-    NoPairAvailableError,
-    ValidationError,
-)
+from .errors import FormatError, IntegrityError, ValidationError
 from .features import FeatureSequence
 
 MANIFEST_NAME = "manifest.json"
@@ -87,32 +83,6 @@ class CorpusSpec:
         first = self.num_speakers - self.num_held_out_speakers
         return tuple(range(first, self.num_speakers))
 
-    def to_dict(self) -> dict:
-        return {
-            "num_words_lang_a": self.num_words_lang_a,
-            "num_words_lang_b": self.num_words_lang_b,
-            "num_speakers": self.num_speakers,
-            "instances_per_word_per_speaker": self.instances_per_word_per_speaker,
-            "feature_dim": self.feature_dim,
-            "word_len_frames": list(self.word_len_frames),
-            "speaker_gain_spread": self.speaker_gain_spread,
-            "speaker_bias_spread": self.speaker_bias_spread,
-            "noise_sigma": self.noise_sigma,
-            "time_warp_spread": self.time_warp_spread,
-            "num_search_utterances": self.num_search_utterances,
-            "words_per_utterance": list(self.words_per_utterance),
-            "silence_len_frames": list(self.silence_len_frames),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorpusSpec":
-        d = dict(d)
-        for name in ("word_len_frames", "words_per_utterance", "silence_len_frames"):
-            if name in d:
-                d[name] = tuple(d[name])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class WordInstance:
@@ -143,21 +113,6 @@ class CorpusBundle:
     template_instances: tuple[WordInstance, ...]
     utterances: tuple[tuple[int, FeatureSequence], ...]
     ground_truth: tuple[Occurrence, ...]
-
-    @property
-    def manifest(self) -> dict:
-        """Structured index over the bundle contents."""
-        return {
-            "spec": self.spec.to_dict(),
-            "num_train_instances": len(self.train_instances),
-            "num_template_instances": len(self.template_instances),
-            "num_utterances": len(self.utterances),
-            "num_occurrences": len(self.ground_truth),
-            "word_language": {
-                str(w): self.spec.word_language(w) for w in range(self.spec.num_words)
-            },
-            "held_out_speakers": list(self.spec.held_out_speakers),
-        }
 
 
 def _smooth3(x: np.ndarray) -> np.ndarray:
@@ -273,30 +228,6 @@ def synth_corpus(spec: CorpusSpec) -> CorpusBundle:
     )
 
 
-def sample_vi_pair(instances, rng) -> tuple[WordInstance, WordInstance]:
-    """Draw (anchor, partner) sharing a word id but from different speakers.
-
-    The anchor is uniform over instances that have at least one valid
-    partner; the partner is uniform over the anchor's partners.
-    """
-    by_word: dict[int, list[WordInstance]] = {}
-    for inst in instances:
-        by_word.setdefault(inst.word_id, []).append(inst)
-    anchors = [
-        inst
-        for inst in instances
-        if any(o.speaker_id != inst.speaker_id for o in by_word[inst.word_id])
-    ]
-    if not anchors:
-        raise NoPairAvailableError(
-            "no word has instances from two distinct speakers"
-        )
-    anchor = anchors[int(rng.integers(0, len(anchors)))]
-    partners = [o for o in by_word[anchor.word_id] if o.speaker_id != anchor.speaker_id]
-    partner = partners[int(rng.integers(0, len(partners)))]
-    return anchor, partner
-
-
 def validate_bundle(bundle: CorpusBundle) -> None:
     """Assert the bundle invariants; raises ValidationError on violation."""
     train_speakers = {i.speaker_id for i in bundle.train_instances}
@@ -358,7 +289,7 @@ def save_manifest(bundle: CorpusBundle, directory) -> None:
         )
     index = {
         "version": MANIFEST_VERSION,
-        "spec": bundle.spec.to_dict(),
+        "spec": codec.dump(bundle.spec),
         **records,
         "ground_truth": [
             {
@@ -400,7 +331,7 @@ def load_manifest(directory) -> CorpusBundle:
         raise IntegrityError(f"corrupt manifest {index_path}: {e}") from e
     if index.get("version") != MANIFEST_VERSION:
         raise FormatError(f"unsupported manifest version {index.get('version')}")
-    spec = CorpusSpec.from_dict(index["spec"])
+    spec = codec.load(CorpusSpec, index["spec"], "spec")
 
     def load_instances(records):
         return tuple(

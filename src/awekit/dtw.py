@@ -22,18 +22,6 @@ class DtwResult:
     span: tuple[int, int]  # [start_j, end_j) on the content axis
 
 
-def local_cost(a_frame, b_frame) -> float:
-    """Cosine distance between two frames; zero-norm frames cost 1."""
-    a = np.asarray(a_frame, dtype=np.float64)
-    b = np.asarray(b_frame, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"frame dims differ: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return ZERO_NORM_COST
-    return float(1.0 - np.dot(a, b) / (na * nb))
-
-
 def cost_matrix(a: FeatureSequence, b: FeatureSequence) -> np.ndarray:
     """Pairwise cosine distances between the frames of two sequences."""
     if a.dim != b.dim:
@@ -74,25 +62,41 @@ def _backtrace(acc: np.ndarray, i: int, j: int, free_start: bool):
     return tuple(reversed(path))
 
 
+def _accumulate(costs, free_start: bool) -> np.ndarray:
+    """Accumulated-cost matrix for steps {(1,0),(0,1),(1,1)}.
+
+    With free_start every column of the first row may start a path
+    (subsequence DTW); otherwise paths start at (0, 0). Each variant keeps
+    its own first-row/first-column summation order, so results stay
+    bit-identical and backtrace ties break the same way."""
+    costs = np.asarray(costs, dtype=np.float64)
+    ta, tb = costs.shape
+    if ta < 1 or tb < 1:
+        raise ValidationError("dtw inputs must be non-empty")
+    acc = np.empty((ta, tb))
+    if free_start:
+        acc[0] = costs[0]
+        acc[:, 0] = costs[:, 0].cumsum()
+    else:
+        acc[0, 0] = costs[0, 0]
+        acc[0, 1:] = costs[0, 1:].cumsum() + costs[0, 0]
+        acc[1:, 0] = costs[1:, 0].cumsum() + costs[0, 0]
+    for i in range(1, ta):
+        row = acc[i]
+        prev = acc[i - 1]
+        for j in range(1, tb):
+            row[j] = costs[i, j] + min(prev[j - 1], prev[j], row[j - 1])
+    return acc
+
+
 def dtw(a: FeatureSequence, b: FeatureSequence) -> DtwResult:
     """Global alignment with steps {(1,0),(0,1),(1,1)} and cosine local cost."""
     return dtw_from_costs(cost_matrix(a, b))
 
 
 def dtw_from_costs(costs: np.ndarray) -> DtwResult:
-    costs = np.asarray(costs, dtype=np.float64)
-    ta, tb = costs.shape
-    if ta < 1 or tb < 1:
-        raise ValidationError("dtw inputs must be non-empty")
-    acc = np.empty((ta, tb))
-    acc[0, 0] = costs[0, 0]
-    acc[0, 1:] = costs[0, 1:].cumsum() + costs[0, 0]
-    acc[1:, 0] = costs[1:, 0].cumsum() + costs[0, 0]
-    for i in range(1, ta):
-        row = acc[i]
-        prev = acc[i - 1]
-        for j in range(1, tb):
-            row[j] = costs[i, j] + min(prev[j - 1], prev[j], row[j - 1])
+    acc = _accumulate(costs, free_start=False)
+    ta, tb = acc.shape
     path = _backtrace(acc, ta - 1, tb - 1, free_start=False)
     return DtwResult(cost=float(acc[-1, -1]), path=WarpPath(pairs=path), span=(0, tb))
 
@@ -103,18 +107,8 @@ def sdtw(query: FeatureSequence, content: FeatureSequence) -> DtwResult:
 
 
 def sdtw_from_costs(costs: np.ndarray) -> DtwResult:
-    costs = np.asarray(costs, dtype=np.float64)
-    tq, tc = costs.shape
-    if tq < 1 or tc < 1:
-        raise ValidationError("sdtw inputs must be non-empty")
-    acc = np.empty((tq, tc))
-    acc[0] = costs[0]  # every content column may start a match
-    for i in range(1, tq):
-        row = acc[i]
-        prev = acc[i - 1]
-        row[0] = costs[i, 0] + prev[0]
-        for j in range(1, tc):
-            row[j] = costs[i, j] + min(prev[j - 1], prev[j], row[j - 1])
+    acc = _accumulate(costs, free_start=True)
+    tq = acc.shape[0]
     end_j = int(np.argmin(acc[-1]))
     path = _backtrace(acc, tq - 1, end_j, free_start=True)
     return DtwResult(
@@ -155,13 +149,12 @@ def fuse_templates_dtw(templates, main_index: int = 0) -> FeatureSequence:
     )
 
 
-def sdtw_search(keyword_templates: dict, utterances, fusion: str = "none", threads: int = 1):
+def sdtw_search(keyword_templates: dict, utterances, fusion: str = "none"):
     """Rank utterances per keyword by normalized S-DTW cost.
 
     fusion="none" scores each utterance by the best template;
-    fusion="dtw" first fuses all templates (main = first listed).
-    Scoring runs on up to `threads` workers; results merge in utterance-id
-    order so the output is deterministic either way."""
+    fusion="dtw" first fuses all templates (main = first listed). Ties
+    break by utterance id."""
     if fusion not in ("none", "dtw"):
         raise ValidationError(f"fusion must be 'none' or 'dtw', got {fusion!r}")
     utterances = sorted(utterances, key=lambda u: u[0])
@@ -173,18 +166,10 @@ def sdtw_search(keyword_templates: dict, utterances, fusion: str = "none", threa
             probes = [fuse_templates_dtw(templates, main_index=0)]
         else:
             probes = list(templates)
-
-        def score_one(item):
-            utt_id, seq = item
-            return utt_id, float(min(normalized_sdtw_cost(p, seq) for p in probes))
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                scored = list(pool.map(score_one, utterances))
-        else:
-            scored = [score_one(u) for u in utterances]
+        scored = [
+            (utt_id, float(min(normalized_sdtw_cost(p, seq) for p in probes)))
+            for utt_id, seq in utterances
+        ]
         scored.sort(key=lambda e: (e[1], e[0]))
         rankings[keyword_id] = RankedList(keyword_id=keyword_id, entries=tuple(scored))
     return rankings

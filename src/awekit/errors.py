@@ -29,9 +29,5 @@ class TooShortError(ValidationError):
     """An input sequence is shorter than the operation's minimum length."""
 
 
-class NoPairAvailableError(AwekitError):
-    """No same-word, different-speaker partner exists in the instance pool."""
-
-
 class MissingArtifactError(AwekitError):
     """A pipeline stage was invoked before its inputs were produced."""

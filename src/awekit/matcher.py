@@ -133,18 +133,23 @@ def make_query(keyword_id, params, cfg, window_cfg: WindowConfig, templates) -> 
     )
 
 
+def embed_windows(params, cfg, seq: FeatureSequence, window_cfg: WindowConfig):
+    """Start frames [N] and embeddings [N, d] of an utterance's windows."""
+    segs = window_segments(seq, window_cfg)
+    starts = np.array([s for s, _ in segs])
+    embs = embed_sequences(params, cfg, [w for _, w in segs])
+    return starts, np.asarray(embs, dtype=np.float64)
+
+
 def search(queries, utterances, params, cfg, window_cfg: WindowConfig):
     """Rank utterances per keyword by minimum smoothed cosine cost.
 
     Returns ({keyword_id: RankedList}, {(keyword_id, utterance_id): ScoreTrace}).
     """
     # window embeddings are query-independent: compute once per utterance
-    utt_windows = {}
-    for utt_id, seq in utterances:
-        segs = window_segments(seq, window_cfg)
-        starts = np.array([s for s, _ in segs])
-        embs = embed_sequences(params, cfg, [w for _, w in segs])
-        utt_windows[utt_id] = (starts, np.asarray(embs, dtype=np.float64))
+    utt_windows = {
+        utt_id: embed_windows(params, cfg, seq, window_cfg) for utt_id, seq in utterances
+    }
 
     rankings = {}
     traces = {}

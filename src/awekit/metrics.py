@@ -23,23 +23,6 @@ class MetricsReport:
     mean_p_at_5: float
     mean_p_at_n: float
 
-    def to_dict(self) -> dict:
-        return {
-            "map": self.map,
-            "mean_p_at_5": self.mean_p_at_5,
-            "mean_p_at_n": self.mean_p_at_n,
-            "per_keyword": [
-                {
-                    "keyword_id": m.keyword_id,
-                    "ap": m.ap,
-                    "p_at_5": m.p_at_5,
-                    "p_at_n": m.p_at_n,
-                    "num_relevant": m.num_relevant,
-                }
-                for m in self.per_keyword
-            ],
-        }
-
 
 def average_precision(ranked: RankedList, relevant: set) -> float:
     """Mean of precision-at-hit over the relevant set."""
@@ -65,12 +48,10 @@ def precision_at_k(ranked: RankedList, relevant: set, k: int) -> float:
     return hits / k
 
 
-def evaluate(rankings: dict, relevance: dict, group_language=None) -> MetricsReport:
+def evaluate(rankings: dict, relevance: dict) -> MetricsReport:
     """Per-keyword AP/P@5/P@N plus unweighted means across keywords.
 
-    relevance maps keyword_id -> set of utterance ids containing it.
-    group_language (optional keyword_id -> language) enables per-group
-    means via group_means()."""
+    relevance maps keyword_id -> set of utterance ids containing it."""
     per_keyword = []
     for keyword_id in sorted(rankings):
         if keyword_id not in relevance:

@@ -1,6 +1,6 @@
 """Residual acoustic word embedding network: construction, forward pass,
-joint word-discrimination + variability-invariant training, embedding
-extraction, and model file I/O."""
+joint word-discrimination + variability-invariant training, batched
+embedding, and model file I/O."""
 
 import json
 import logging
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensorkit as tk
+from . import codec, tensorkit as tk
 from .errors import (
     FormatError,
     IncompatibleModelError,
@@ -47,12 +47,6 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "stage_channels", tuple(self.stage_channels))
-        object.__setattr__(self, "stage_blocks", tuple(self.stage_blocks))
-        object.__setattr__(self, "stage_downsample", tuple(self.stage_downsample))
-        object.__setattr__(
-            self, "num_classes_per_language", tuple(self.num_classes_per_language)
-        )
         if not (
             len(self.stage_channels) == len(self.stage_blocks) == len(self.stage_downsample) == 4
         ):
@@ -65,7 +59,7 @@ class ModelConfig:
             raise ValidationError("epochs and batch_size must be >= 1")
         if not 0 < self.lr_factor < 1:
             raise ValidationError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
-        if min(self.num_classes_per_language) < 1:
+        if not self.num_classes_per_language or min(self.num_classes_per_language) < 1:
             raise ValidationError("every language needs at least one class")
 
     @property
@@ -86,31 +80,6 @@ class ModelConfig:
             cursor += n
         return tk.BlockLayout(tuple(blocks))
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "stage_channels": list(self.stage_channels),
-            "stage_blocks": list(self.stage_blocks),
-            "stage_downsample": list(self.stage_downsample),
-            "num_classes_per_language": list(self.num_classes_per_language),
-            "softmax_mode": self.softmax_mode,
-            "alpha": self.alpha,
-            "lr0": self.lr0,
-            "momentum": self.momentum,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr_patience": self.lr_patience,
-            "lr_factor": self.lr_factor,
-            "min_lr": self.min_lr,
-            "grad_clip_norm": self.grad_clip_norm,
-            "input_mean_norm": self.input_mean_norm,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 @dataclass
 class EpochStats:
@@ -124,20 +93,6 @@ class EpochStats:
 @dataclass
 class TrainReport:
     epochs: list[EpochStats] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": [
-                {
-                    "total_loss": e.total_loss,
-                    "ce_loss": e.ce_loss,
-                    "mse_loss": e.mse_loss,
-                    "accuracy": e.accuracy,
-                    "lr": e.lr,
-                }
-                for e in self.epochs
-            ]
-        }
 
 
 def _he_uniform(rng, shape, fan_in):
@@ -260,12 +215,6 @@ def forward(params, cfg: ModelConfig, seqs: list[FeatureSequence]):
     pt = _as_param_tensors(params)
     emb, logits = _forward_graph(pt, cfg, tk.Tensor(batch), lens)
     return emb.value.copy(), logits.value.copy()
-
-
-def extract_embedding(params, cfg: ModelConfig, seq: FeatureSequence) -> np.ndarray:
-    """Embedding of a single sequence (GAP-layer output, pre-FC)."""
-    emb, _ = forward(params, cfg, [seq])
-    return emb[0]
 
 
 def embed_sequences(params, cfg: ModelConfig, seqs, batch_size=128) -> np.ndarray:
@@ -408,7 +357,7 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
 
 def save_model(params: dict[str, np.ndarray], cfg: ModelConfig, path) -> None:
     """Binary model file: magic, version, config JSON, named f32 tensors."""
-    cfg_blob = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+    cfg_blob = json.dumps(codec.dump(cfg), sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<I", MODEL_VERSION))
@@ -446,7 +395,11 @@ def load_model(path):
     if version != MODEL_VERSION:
         raise FormatError(f"model file {path}: unsupported version {version}")
     (cfg_len,) = struct.unpack("<I", take(4))
-    cfg = ModelConfig.from_dict(json.loads(bytes(take(cfg_len)).decode()))
+    cfg_blob = bytes(take(cfg_len))
+    try:
+        cfg = codec.load(ModelConfig, json.loads(cfg_blob.decode()), "model")
+    except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as e:
+        raise FormatError(f"model file {path}: corrupt config header: {e}") from e
     (count,) = struct.unpack("<I", take(4))
     params = {}
     for _ in range(count):

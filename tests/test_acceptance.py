@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from awekit import tensorkit as tk
+from awekit import codec, tensorkit as tk
 from awekit.cli import main as cli_main
 from awekit.corpus import CorpusSpec, load_manifest, save_manifest, synth_corpus
 from awekit.dtw import dtw_from_costs, sdtw_from_costs, sdtw_search
@@ -405,10 +405,10 @@ def test_criterion_9_determinism_round_trips(tmp_path):
     identical = snapshots[0] == snapshots[1]
 
     # save/load round trips are bit-exact
-    bundle = synth_corpus(CorpusSpec.from_dict(config["corpus"]))
+    bundle = synth_corpus(codec.load(CorpusSpec, config["corpus"]))
     save_manifest(bundle, tmp_path / "m")
     manifest_ok = load_manifest(tmp_path / "m") == bundle
-    mcfg = ModelConfig.from_dict(config["model"])
+    mcfg = codec.load(ModelConfig, config["model"])
     params = build_network(mcfg)
     save_model(params, mcfg, tmp_path / "m.awem")
     loaded, loaded_cfg = load_model(tmp_path / "m.awem")

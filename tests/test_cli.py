@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from awekit.cli import main
 from awekit.config import RunConfig
+from awekit.model import ModelConfig, build_network, save_model
 
 
 TINY_CONFIG = {
@@ -135,13 +136,52 @@ class TestErrorHandling:
         result = run(["synth"], bad)
         assert result.exit_code == 2
 
-    def test_unknown_config_key(self, tmp_path):
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            ({"workdirr": "x"}, "workdirr"),
+            ({"window": {"bogus": 1}}, "window.bogus"),
+            ({"model": {"bogus": 1}}, "model.bogus"),
+            ({"corpus": {"bogus": 1}}, "corpus.bogus"),
+            ({"fbank": {"bogus": 1}}, "fbank.bogus"),
+            ({"corpus": {"word_len_frames": 5}}, "corpus.word_len_frames"),
+            ({"model": {"stage_channels": 5}}, "model.stage_channels"),
+            ({"templates_per_keyword": "3"}, "templates_per_keyword"),
+            ({"window": []}, "window"),
+        ],
+        ids=[
+            "workdirr",
+            "window-bogus",
+            "model-bogus",
+            "corpus-bogus",
+            "fbank-bogus",
+            "word_len_frames-int",
+            "stage_channels-int",
+            "templates_per_keyword-str",
+            "window-list",
+        ],
+    )
+    def test_unknown_config_key(self, tmp_path, config, key):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"workdirr": "x"}))
+        bad.write_text(json.dumps(config))
         result = run(["synth"], bad)
         assert result.exit_code == 2
-        record = json.loads(result.stderr.strip().splitlines()[-1])
-        assert "workdirr" in record["message"]
+        record = json.loads(result.stderr)
+        assert record["error"] == "ValidationError"
+        assert key in record["message"]
+
+    def test_corrupt_model_header(self, config_file):
+        run(["synth"], config_file)
+        cfg = RunConfig.load(config_file)
+        mcfg = ModelConfig(input_dim=8, stage_channels=(2, 3, 4, 6))
+        cfg.model_path.parent.mkdir(parents=True)
+        save_model(build_network(mcfg), mcfg, cfg.model_path)
+        raw = bytearray(cfg.model_path.read_bytes())
+        raw[14] = 0xFF  # inside the config JSON, not valid UTF-8
+        cfg.model_path.write_bytes(bytes(raw))
+        result = run(["search"], config_file)
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"] == "FormatError"
 
 
 class TestFeaturize:

@@ -1,0 +1,78 @@
+import dataclasses
+import typing
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from awekit import codec
+from awekit.config import RunConfig
+from awekit.corpus import CorpusSpec
+from awekit.errors import AwekitError, ValidationError
+from awekit.features import FbankConfig
+from awekit.model import ModelConfig
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        RunConfig(workdir=Path("a/b"), fbank=FbankConfig(fmax=4000.0), fusion="none"),
+        ModelConfig(stage_channels=(2, 3, 4, 5), num_classes_per_language=(2, 3), seed=7),
+        CorpusSpec(word_len_frames=(6, 10), seed=5),
+    ],
+    ids=lambda r: type(r).__name__,
+)
+def test_round_trip(record):
+    assert codec.load(type(record), codec.dump(record)) == record
+
+
+def test_scalar_types():
+    # an int is a valid float, a bool is not an int, null only where allowed
+    assert codec.load(ModelConfig, {"alpha": 1}).alpha == 1
+    assert codec.load(FbankConfig, {"fmax": None}).fmax is None
+    with pytest.raises(ValidationError, match="epochs"):
+        codec.load(ModelConfig, {"epochs": True})
+    with pytest.raises(ValidationError, match="alpha"):
+        codec.load(ModelConfig, {"alpha": None})
+    with pytest.raises(ValidationError, match=r"stage_downsample\[1\]"):
+        codec.load(ModelConfig, {"stage_downsample": [False, 1, True, True]})
+    with pytest.raises(ValidationError, match="word_len_frames must have 2 items"):
+        codec.load(CorpusSpec, {"word_len_frames": [1, 2, 3]})
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+words = st.sampled_from(["awe", "sdtw", "none", "mean", "dtw", "one", "block"])
+
+
+def near_typed(tp):
+    """JSON values mostly of the field's type (lists of any length for
+    tuples; objects with a few known keys), mixed with arbitrary trees."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        keys = st.lists(st.sampled_from(sorted(hints)), max_size=4, unique=True)
+        objects = keys.flatmap(
+            lambda ks: st.fixed_dictionaries({k: near_typed(hints[k]) for k in ks})
+        )
+        return objects | json_trees
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        return st.lists(near_typed(args[0]), max_size=5) | json_trees
+    if args:  # X | None
+        return near_typed(args[0]) | st.none()
+    base = {bool: st.booleans(), int: st.integers(), float: st.floats(), str: words, Path: words}
+    return base[tp] | json_trees
+
+
+@settings(max_examples=500, deadline=None)
+@given(cls=st.sampled_from([RunConfig, ModelConfig]), data=st.data())
+def test_arbitrary_json_raises_only_typed_errors(cls, data):
+    try:
+        codec.load(cls, data.draw(near_typed(cls)))
+    except AwekitError:
+        pass

@@ -8,17 +8,11 @@ from awekit import blobio
 from awekit.corpus import (
     CorpusSpec,
     load_manifest,
-    sample_vi_pair,
     save_manifest,
     synth_corpus,
     validate_bundle,
 )
-from awekit.errors import (
-    FormatError,
-    IntegrityError,
-    NoPairAvailableError,
-    ValidationError,
-)
+from awekit.errors import FormatError, IntegrityError, ValidationError
 from awekit.features import FeatureSequence
 
 
@@ -131,35 +125,6 @@ class TestSynthCorpus:
         assert spec.word_language(1) == 0
         assert spec.word_language(2) == 1
         assert spec.word_language(3) == 1
-
-
-class TestSampleViPair:
-    def test_single_speaker_raises(self):
-        bundle = synth_corpus(small_spec())
-        solo = [i for i in bundle.train_instances if i.speaker_id == 0][:4]
-        with pytest.raises(NoPairAvailableError):
-            sample_vi_pair(solo, np.random.default_rng(0))
-
-    def test_forced_pair(self):
-        bundle = synth_corpus(small_spec(instances_per_word_per_speaker=1))
-        pool = [
-            i
-            for i in bundle.train_instances
-            if i.word_id == 0 and i.speaker_id in (0, 1)
-        ]
-        assert len(pool) == 2
-        a, b = sample_vi_pair(pool, np.random.default_rng(0))
-        assert {a.speaker_id, b.speaker_id} == {0, 1}
-        assert a.word_id == b.word_id == 0
-
-    def test_partner_never_shares_speaker(self):
-        bundle = synth_corpus(small_spec())
-        pool = [i for i in bundle.train_instances if i.word_id == 1]
-        rng = np.random.default_rng(1)
-        for _ in range(10_000):
-            a, b = sample_vi_pair(pool, rng)
-            assert a.word_id == b.word_id
-            assert a.speaker_id != b.speaker_id
 
 
 class TestManifestRoundTrip:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from awekit.dtw import (
+    cost_matrix,
     dtw,
     dtw_from_costs,
     fuse_templates_dtw,
-    local_cost,
     normalized_sdtw_cost,
     sdtw,
     sdtw_from_costs,
@@ -49,6 +49,20 @@ def sdtw_oracle(costs):
 
 def seq(rows):
     return FeatureSequence(frames=np.asarray(rows, dtype=np.float32))
+
+
+def cosine_oracle(a, b):
+    """Per-frame cosine distance; zero-norm frames cost 1."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 1.0
+    return 1.0 - np.dot(a, b) / (na * nb)
+
+
+def local_cost(a_frame, b_frame):
+    """cost_matrix on two one-frame sequences."""
+    return float(cost_matrix(seq([a_frame]), seq([b_frame]))[0, 0])
 
 
 class TestLocalCost:
@@ -203,16 +217,6 @@ class TestSdtwSearch:
         fused = sdtw_search({0: [query]}, utts, fusion="dtw")
         assert none[0].entries == fused[0].entries
 
-    def test_threaded_matches_serial(self):
-        rng = np.random.default_rng(13)
-        templates = {k: [seq(rng.normal(size=(4, 2)))] for k in range(3)}
-        utts = [(u, seq(rng.normal(size=(8, 2)))) for u in range(5)]
-        serial = sdtw_search(templates, utts, threads=1)
-        threaded = sdtw_search(templates, utts, threads=4)
-        assert {k: v.entries for k, v in serial.items()} == {
-            k: v.entries for k, v in threaded.items()
-        }
-
     def test_rankings_match_bruteforce_on_tiny_corpora(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
@@ -224,7 +228,7 @@ class TestSdtwSearch:
             oracle_scores = []
             for u, s in utts:
                 costs = np.array(
-                    [[local_cost(q, f) for f in s.frames] for q in query]
+                    [[cosine_oracle(q, f) for f in s.frames] for q in query]
                 )
                 oracle_scores.append((sdtw_oracle(costs) / len(query), u))
             oracle_order = [u for _, u in sorted(oracle_scores)]

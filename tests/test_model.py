@@ -15,7 +15,6 @@ from awekit.features import FeatureSequence
 from awekit.model import (
     ModelConfig,
     build_network,
-    extract_embedding,
     forward,
     load_model,
     save_model,
@@ -47,9 +46,6 @@ class TestConfig:
         block = dataclasses.replace(TINY, softmax_mode="block").layout
         assert one.blocks == ((0, 5),)
         assert block.blocks == ((0, 2), (2, 5))
-
-    def test_round_trip_dict(self):
-        assert ModelConfig.from_dict(TINY.to_dict()) == TINY
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -108,7 +104,7 @@ class TestForward:
     def test_zero_input_gives_zero_embedding(self):
         params = build_network(TINY)
         z = FeatureSequence(frames=np.zeros((10, 6), dtype=np.float32))
-        emb = extract_embedding(params, TINY, z)
+        emb, _ = forward(params, TINY, [z])
         np.testing.assert_allclose(emb, 0.0, atol=1e-7)
 
     def test_batch_padding_does_not_change_embeddings(self):
@@ -116,9 +112,9 @@ class TestForward:
         # same alone as when batched next to a long one
         params = build_network(TINY)
         short, long = seqs([8, 31], seed=3)
-        alone = extract_embedding(params, TINY, short)
+        alone, _ = forward(params, TINY, [short])
         batched, _ = forward(params, TINY, [short, long])
-        np.testing.assert_allclose(batched[0], alone, atol=1e-5)
+        np.testing.assert_allclose(batched[0], alone[0], atol=1e-5)
 
     def test_min_length_one_frame(self):
         params = build_network(TINY)
@@ -298,6 +294,21 @@ class TestModelIO:
         save_model(build_network(TINY), TINY, path)
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError, match="truncated"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "offset,byte",
+        [(14, 0xFF), (20, ord("x")), (16, ord("x"))],
+        ids=["not-utf8", "not-json", "unknown-key"],
+    )
+    def test_corrupt_config_header(self, tmp_path, offset, byte):
+        # the config JSON starts at byte 12: {"alpha": ...
+        path = tmp_path / "m.awem"
+        save_model(build_network(TINY), TINY, path)
+        raw = bytearray(path.read_bytes())
+        raw[offset] = byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="config header"):
             load_model(path)
 
     def test_config_weight_mismatch(self, tmp_path):
