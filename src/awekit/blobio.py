@@ -1,6 +1,8 @@
-"""Binary matrix blobs: little-endian float32, row-major, 16-byte header.
+"""Binary matrix blobs and their manifest records.
 
-Header layout: magic b"AWEF", version u32, rows u32, cols u32.
+A blob is little-endian float32, row-major, behind a 16-byte header:
+magic b"AWEF", version u32, rows u32, cols u32. A manifest record names a
+blob and holds its shape and the CRC32 of the whole file.
 """
 
 import struct
@@ -16,21 +18,28 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
 
-def write_blob(path, matrix: np.ndarray) -> None:
+def write_blob(path, matrix: np.ndarray) -> int:
+    """Write a 2-D matrix as a blob; returns the CRC32 of the file."""
     m = np.ascontiguousarray(matrix, dtype="<f4")
     if m.ndim != 2:
         raise FormatError(f"blob matrix must be 2-D, got shape {m.shape}")
+    header = _HEADER.pack(MAGIC, VERSION, m.shape[0], m.shape[1])
+    data = m.tobytes()
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, VERSION, m.shape[0], m.shape[1]))
-        f.write(m.tobytes())
+        f.write(header)
+        f.write(data)
+    return zlib.crc32(data, zlib.crc32(header))
 
 
-def read_blob(path) -> np.ndarray:
+def read_blob(path, crc32: int | None = None) -> np.ndarray:
+    """The matrix of a blob file; with `crc32`, the file must have that CRC32."""
     path = Path(path)
     try:
         raw = path.read_bytes()
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise FormatError(f"cannot read blob {path}: {e}") from e
+    if crc32 is not None and zlib.crc32(raw) != crc32:
+        raise IntegrityError(f"checksum mismatch for blob {path}")
     if len(raw) < _HEADER.size:
         raise IntegrityError(f"blob {path}: file shorter than header")
     magic, version, rows, cols = _HEADER.unpack_from(raw)
@@ -47,6 +56,19 @@ def read_blob(path) -> np.ndarray:
     return data.reshape(rows, cols).copy()
 
 
-def blob_checksum(path) -> int:
-    """CRC32 of the full blob file, for manifest integrity checks."""
-    return zlib.crc32(Path(path).read_bytes()) & 0xFFFFFFFF
+def write_record(directory, blob: str, matrix: np.ndarray) -> dict:
+    """Write `matrix` to directory/blob; returns its manifest record."""
+    crc = write_blob(Path(directory) / blob, matrix)
+    rows, cols = np.shape(matrix)
+    return {"blob": blob, "rows": rows, "cols": cols, "crc32": crc}
+
+
+def read_record(directory, rec: dict) -> np.ndarray:
+    """The matrix a manifest record names, checked against its CRC32 and shape."""
+    path = Path(directory) / rec["blob"]
+    matrix = read_blob(path, crc32=rec["crc32"])
+    if matrix.shape != (rec["rows"], rec["cols"]):
+        raise IntegrityError(
+            f"blob {path} has shape {matrix.shape}, manifest says ({rec['rows']}, {rec['cols']})"
+        )
+    return matrix

@@ -12,7 +12,7 @@ import numpy as np
 from . import blobio, codec, corpus as corpus_mod, dtw as dtw_mod, matcher, metrics
 from . import model as model_mod
 from .config import RunConfig
-from .errors import AwekitError, MissingArtifactError, ValidationError
+from .errors import AwekitError, FormatError, MissingArtifactError, ValidationError
 from .features import fbank, read_wav
 
 
@@ -53,14 +53,17 @@ def _model_cfg_for(cfg: RunConfig, spec) -> model_mod.ModelConfig:
     )
 
 
-def _write_json(path: Path, payload: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+class _Pipeline(click.Group):
+    """Reports an AwekitError from the group or any stage through `_fail`."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except AwekitError as e:
+            _fail(e)
 
 
-@click.group()
+@click.group(cls=_Pipeline)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--workdir", type=click.Path(), default=None, help="Override workdir.")
 @click.option("--seed", type=int, default=None, help="Override corpus and model seeds.")
@@ -72,32 +75,26 @@ def _write_json(path: Path, payload: dict):
 @click.pass_context
 def main(ctx, config_path, workdir, seed, system, fusion, templates_per_keyword, alpha, softmax):
     """Query-by-example spoken term detection pipeline."""
-    try:
-        ctx.obj = _load_config(
-            config_path,
-            workdir=workdir,
-            seed=seed,
-            system=system,
-            fusion=fusion,
-            templates_per_keyword=templates_per_keyword,
-            alpha=alpha,
-            softmax=softmax,
-        )
-    except AwekitError as e:
-        _fail(e)
+    ctx.obj = _load_config(
+        config_path,
+        workdir=workdir,
+        seed=seed,
+        system=system,
+        fusion=fusion,
+        templates_per_keyword=templates_per_keyword,
+        alpha=alpha,
+        softmax=softmax,
+    )
 
 
 @main.command()
 @click.pass_obj
 def synth(cfg: RunConfig):
     """Generate the synthetic corpus into <workdir>/corpus."""
-    try:
-        bundle = corpus_mod.synth_corpus(cfg.corpus)
-        corpus_mod.validate_bundle(bundle)
-        corpus_mod.save_manifest(bundle, cfg.corpus_dir)
-        _write_json(cfg.corpus_dir / "provenance.json", cfg.provenance())
-    except AwekitError as e:
-        _fail(e)
+    bundle = corpus_mod.synth_corpus(cfg.corpus)
+    corpus_mod.validate_bundle(bundle)
+    corpus_mod.save_manifest(bundle, cfg.corpus_dir)
+    codec.write_json(cfg.corpus_dir / "provenance.json", cfg.provenance())
     click.echo(
         f"corpus: {len(bundle.train_instances)} train / {len(bundle.template_instances)} "
         f"template instances, {len(bundle.utterances)} utterances -> {cfg.corpus_dir}"
@@ -109,31 +106,19 @@ def synth(cfg: RunConfig):
 @click.pass_obj
 def featurize(cfg: RunConfig, wav_dir):
     """Extract filterbank features for every WAV file in a directory."""
-    try:
-        wavs = sorted(Path(wav_dir).glob("*.wav"))
-        if not wavs:
-            raise ValidationError(f"no .wav files in {wav_dir}")
-        cfg.features_dir.mkdir(parents=True, exist_ok=True)
-        records = []
-        for wav_path in wavs:
-            seq = fbank(read_wav(wav_path), cfg.fbank)
-            blob = wav_path.stem + ".awef"
-            blobio.write_blob(cfg.features_dir / blob, seq.frames)
-            records.append(
-                {
-                    "source": wav_path.name,
-                    "blob": blob,
-                    "rows": seq.num_frames,
-                    "cols": seq.dim,
-                    "crc32": blobio.blob_checksum(cfg.features_dir / blob),
-                }
-            )
-        _write_json(
-            cfg.features_dir / "features_manifest.json",
-            {"provenance": cfg.provenance(), "files": records},
-        )
-    except AwekitError as e:
-        _fail(e)
+    wavs = sorted(Path(wav_dir).glob("*.wav"))
+    if not wavs:
+        raise ValidationError(f"no .wav files in {wav_dir}")
+    cfg.features_dir.mkdir(parents=True, exist_ok=True)
+    records = []
+    for wav_path in wavs:
+        frames = fbank(read_wav(wav_path), cfg.fbank).frames
+        record = blobio.write_record(cfg.features_dir, wav_path.stem + ".awef", frames)
+        records.append({"source": wav_path.name, **record})
+    codec.write_json(
+        cfg.features_dir / "features_manifest.json",
+        {"provenance": cfg.provenance(), "files": records},
+    )
     click.echo(f"featurized {len(records)} files -> {cfg.features_dir}")
 
 
@@ -141,19 +126,16 @@ def featurize(cfg: RunConfig, wav_dir):
 @click.pass_obj
 def train(cfg: RunConfig):
     """Train the embedding network on the corpus training split."""
-    try:
-        bundle = _load_bundle(cfg)
-        mcfg = _model_cfg_for(cfg, bundle.spec)
-        params, report = model_mod.train(mcfg, bundle.train_instances)
-        cfg.model_path.parent.mkdir(parents=True, exist_ok=True)
-        model_mod.save_model(params, mcfg, cfg.model_path)
-        _write_json(cfg.model_path.parent / "provenance.json", cfg.provenance())
-        _write_json(
-            cfg.train_report_path,
-            {"provenance": cfg.provenance(), **codec.dump(report)},
-        )
-    except AwekitError as e:
-        _fail(e)
+    bundle = _load_bundle(cfg)
+    mcfg = _model_cfg_for(cfg, bundle.spec)
+    params, report = model_mod.train(mcfg, bundle.train_instances)
+    cfg.model_path.parent.mkdir(parents=True, exist_ok=True)
+    model_mod.save_model(params, mcfg, cfg.model_path)
+    codec.write_json(cfg.model_path.parent / "provenance.json", cfg.provenance())
+    codec.write_json(
+        cfg.train_report_path,
+        {"provenance": cfg.provenance(), **codec.dump(report)},
+    )
     last = report.epochs[-1]
     click.echo(
         f"trained {mcfg.epochs} epochs: loss {last.total_loss:.4f}, "
@@ -172,43 +154,32 @@ def _templates_by_keyword(bundle, limit):
 @click.pass_obj
 def embed(cfg: RunConfig):
     """Export embeddings for keyword templates and utterance windows."""
-    try:
-        bundle = _load_bundle(cfg)
-        _require(cfg.model_path, "train")
-        params, mcfg = model_mod.load_model(cfg.model_path)
-        cfg.embeddings_dir.mkdir(parents=True, exist_ok=True)
-        w = cfg.window.window_frames(bundle.template_instances[0].features.frame_shift)
+    bundle = _load_bundle(cfg)
+    _require(cfg.model_path, "train")
+    params, mcfg = model_mod.load_model(cfg.model_path)
+    cfg.embeddings_dir.mkdir(parents=True, exist_ok=True)
+    templates = bundle.template_instances
+    tmpl_embs = matcher.embed_templates(params, mcfg, cfg.window, [t.features for t in templates])
+    blobio.write_blob(cfg.embeddings_dir / "templates.awef", tmpl_embs)
+    tmpl_index = [
+        {"row": row, "keyword_id": inst.word_id, "speaker_id": inst.speaker_id}
+        for row, inst in enumerate(templates)
+    ]
 
-        tmpl_index = []
-        from .features import pad_or_clip
-
-        fitted = []
-        for row, inst in enumerate(bundle.template_instances):
-            fitted.append(pad_or_clip(inst.features, w))
-            tmpl_index.append(
-                {"row": row, "keyword_id": inst.word_id, "speaker_id": inst.speaker_id}
-            )
-        tmpl_embs = model_mod.embed_sequences(params, mcfg, fitted)
-        blobio.write_blob(cfg.embeddings_dir / "templates.awef", tmpl_embs)
-
-        utt_index = []
-        for utt_id, seq in bundle.utterances:
-            starts, embs = matcher.embed_windows(params, mcfg, seq, cfg.window)
-            blob = f"utt_{utt_id:05d}.awef"
-            blobio.write_blob(cfg.embeddings_dir / blob, embs)
-            utt_index.append(
-                {"utterance_id": utt_id, "blob": blob, "window_starts": starts.tolist()}
-            )
-        _write_json(
-            cfg.embeddings_dir / "index.json",
-            {
-                "provenance": cfg.provenance(),
-                "templates": tmpl_index,
-                "utterances": utt_index,
-            },
-        )
-    except AwekitError as e:
-        _fail(e)
+    utt_index = []
+    for utt_id, seq in bundle.utterances:
+        starts, embs = matcher.embed_windows(params, mcfg, seq, cfg.window)
+        blob = f"utt_{utt_id:05d}.awef"
+        blobio.write_blob(cfg.embeddings_dir / blob, embs)
+        utt_index.append({"utterance_id": utt_id, "blob": blob, "window_starts": starts.tolist()})
+    codec.write_json(
+        cfg.embeddings_dir / "index.json",
+        {
+            "provenance": cfg.provenance(),
+            "templates": tmpl_index,
+            "utterances": utt_index,
+        },
+    )
     click.echo(f"embeddings -> {cfg.embeddings_dir}")
 
 
@@ -217,96 +188,97 @@ def embed(cfg: RunConfig):
 @click.pass_obj
 def search(cfg: RunConfig, dump_traces):
     """Rank utterances per keyword with the selected system."""
-    try:
-        bundle = _load_bundle(cfg)
-        templates = _templates_by_keyword(bundle, cfg.templates_per_keyword)
-        records = []
-        traces = None
-        if cfg.system == "awe":
-            if cfg.fusion != "mean":
-                raise ValidationError("system 'awe' supports only fusion 'mean'")
-            _require(cfg.model_path, "train")
-            params, mcfg = model_mod.load_model(cfg.model_path)
-            queries = [
-                matcher.make_query(w, params, mcfg, cfg.window, feats)
-                for w, feats in templates.items()
-            ]
-            rankings, traces = matcher.search(
-                queries, bundle.utterances, params, mcfg, cfg.window
+    bundle = _load_bundle(cfg)
+    templates = _templates_by_keyword(bundle, cfg.templates_per_keyword)
+    records = []
+    traces = None
+    if cfg.system == "awe":
+        if cfg.fusion != "mean":
+            raise ValidationError("system 'awe' supports only fusion 'mean'")
+        _require(cfg.model_path, "train")
+        params, mcfg = model_mod.load_model(cfg.model_path)
+        queries = [
+            matcher.make_query(w, params, mcfg, cfg.window, feats)
+            for w, feats in templates.items()
+        ]
+        rankings, traces = matcher.search(queries, bundle.utterances, params, mcfg, cfg.window)
+    else:
+        if cfg.fusion == "mean":
+            raise ValidationError("system 'sdtw' supports fusion 'none' or 'dtw'")
+        rankings = dtw_mod.sdtw_search(templates, bundle.utterances, fusion=cfg.fusion)
+    for keyword_id in sorted(rankings):
+        for rank, (utt_id, score) in enumerate(rankings[keyword_id].entries, start=1):
+            rec = {
+                "system": cfg.system,
+                "keyword_id": keyword_id,
+                "utterance_id": utt_id,
+                "score": score,
+                "rank": rank,
+            }
+            if traces is not None:
+                tr = traces[(keyword_id, utt_id)]
+                rec["best_window_start"] = int(tr.window_starts[int(np.argmin(tr.costs))])
+            records.append(rec)
+    cfg.results_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(cfg.results_path, "w") as f:
+        f.write(json.dumps({"provenance": cfg.provenance(), "system": cfg.system}) + "\n")
+        for rec in records:
+            f.write(json.dumps(rec, sort_keys=True) + "\n")
+    if dump_traces and traces is not None:
+        cfg.traces_dir.mkdir(parents=True, exist_ok=True)
+        for (keyword_id, utt_id), tr in traces.items():
+            blobio.write_blob(
+                cfg.traces_dir / f"kw{keyword_id:04d}_utt{utt_id:05d}.awef",
+                tr.costs[None, :],
             )
-        else:
-            if cfg.fusion == "mean":
-                raise ValidationError("system 'sdtw' supports fusion 'none' or 'dtw'")
-            rankings = dtw_mod.sdtw_search(templates, bundle.utterances, fusion=cfg.fusion)
-        for keyword_id in sorted(rankings):
-            for rank, (utt_id, score) in enumerate(rankings[keyword_id].entries, start=1):
-                rec = {
-                    "system": cfg.system,
-                    "keyword_id": keyword_id,
-                    "utterance_id": utt_id,
-                    "score": score,
-                    "rank": rank,
-                }
-                if traces is not None:
-                    tr = traces[(keyword_id, utt_id)]
-                    rec["best_window_start"] = int(tr.window_starts[int(np.argmin(tr.costs))])
-                records.append(rec)
-        cfg.results_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(cfg.results_path, "w") as f:
-            f.write(json.dumps({"provenance": cfg.provenance(), "system": cfg.system}) + "\n")
-            for rec in records:
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
-        if dump_traces and traces is not None:
-            cfg.traces_dir.mkdir(parents=True, exist_ok=True)
-            for (keyword_id, utt_id), tr in traces.items():
-                blobio.write_blob(
-                    cfg.traces_dir / f"kw{keyword_id:04d}_utt{utt_id:05d}.awef",
-                    tr.costs[None, :],
-                )
-    except AwekitError as e:
-        _fail(e)
     click.echo(f"{len(records)} result records -> {cfg.results_path}")
+
+
+def _read_results(path: Path, system: str) -> dict:
+    """{keyword_id: [(rank, utterance_id, score), ...]} from a results file
+    whose header line names `system`."""
+    entries = {}
+    with open(path) as f:
+        for number, line in enumerate(f, start=1):
+            try:
+                rec = json.loads(line)
+                if number == 1 and rec["system"] != system:
+                    raise ValidationError(f"{path} holds {rec['system']!r} results, not {system!r}")
+                if number > 1:
+                    entry = (rec["rank"], rec["utterance_id"], rec["score"])
+                    entries.setdefault(rec["keyword_id"], []).append(entry)
+            except (json.JSONDecodeError, KeyError, TypeError) as e:
+                raise FormatError(f"{path} line {number} is not a result record: {e!r}") from e
+    return entries
 
 
 @main.command(name="eval")
 @click.pass_obj
 def eval_cmd(cfg: RunConfig):
     """Score the latest search results against corpus ground truth."""
-    try:
-        bundle = _load_bundle(cfg)
-        _require(cfg.results_path, "search")
-        entries_by_kw = {}
-        with open(cfg.results_path) as f:
-            for line in f:
-                rec = json.loads(line)
-                if "keyword_id" not in rec:
-                    continue  # header record
-                entries_by_kw.setdefault(rec["keyword_id"], []).append(
-                    (rec["rank"], rec["utterance_id"], rec["score"])
-                )
-        rel = metrics.relevance_from_ground_truth(bundle.ground_truth)
-        rankings = {}
-        for kw, entries in entries_by_kw.items():
-            if kw not in rel:
-                continue  # keyword never occurs in the search content
-            entries.sort()
-            rankings[kw] = matcher.RankedList(
-                keyword_id=kw, entries=tuple((u, s) for _, u, s in entries)
-            )
-        language = {w: bundle.spec.word_language(w) for w in range(bundle.spec.num_words)}
-        report = metrics.evaluate(rankings, rel)
-        _write_json(
-            cfg.report_path,
-            {
-                "provenance": cfg.provenance(),
-                **codec.dump(report),
-                "groups": metrics.group_means(report, language),
-            },
+    bundle = _load_bundle(cfg)
+    entries_by_kw = _read_results(_require(cfg.results_path, "search"), cfg.system)
+    rel = metrics.relevance_from_ground_truth(bundle.ground_truth)
+    rankings = {}
+    for kw, entries in entries_by_kw.items():
+        if kw not in rel:
+            continue  # keyword never occurs in the search content
+        entries.sort()
+        rankings[kw] = matcher.RankedList(
+            keyword_id=kw, entries=tuple((u, s) for _, u, s in entries)
         )
-        table = metrics.render_table(report, language)
-        (cfg.report_path.parent / "metrics.txt").write_text(table + "\n")
-    except AwekitError as e:
-        _fail(e)
+    language = {w: bundle.spec.word_language(w) for w in range(bundle.spec.num_words)}
+    report = metrics.evaluate(rankings, rel)
+    codec.write_json(
+        cfg.report_path,
+        {
+            "provenance": cfg.provenance(),
+            **codec.dump(report),
+            "groups": metrics.group_means(report, language),
+        },
+    )
+    table = metrics.render_table(report, language)
+    (cfg.report_path.parent / "metrics.txt").write_text(table + "\n")
     click.echo(table)
 
 

@@ -1,12 +1,14 @@
-"""JSON <-> dataclass codec for configs and reports.
+"""JSON <-> dataclass codec for configs and reports, and the JSON artifact writer.
 
 `dump` is `dataclasses.asdict` with paths as strings. `load` builds a
 dataclass from parsed JSON and rejects unknown keys, wrong types and
 non-object sections with a ValidationError naming the dotted key; range
-checks stay in each class's `__post_init__`.
+checks stay in each class's `__post_init__`. `write_json` writes every
+JSON artifact in one layout.
 """
 
 import dataclasses
+import json
 import types
 import typing
 from pathlib import Path
@@ -21,6 +23,16 @@ def dump(record) -> dict:
 
 def _json_dict(items) -> dict:
     return {k: str(v) if isinstance(v, Path) else v for k, v in items}
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` with indent 1, sorted keys and a trailing newline,
+    creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
 def load(cls, data, where: str = ""):

@@ -8,13 +8,13 @@ ground-truth occurrence records.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import codec
-from .blobio import blob_checksum, read_blob, write_blob
+from .blobio import read_record, write_record
 from .errors import FormatError, IntegrityError, ValidationError
 from .features import FeatureSequence
 
@@ -252,72 +252,34 @@ def validate_bundle(bundle: CorpusBundle) -> None:
         last_end[occ.utterance_id] = occ.end_frame
 
 
-def _write_instance(directory: Path, stem: str, inst: WordInstance) -> dict:
-    blob = f"{stem}.awef"
-    write_blob(directory / blob, inst.features.frames)
-    return {
-        "word_id": inst.word_id,
-        "speaker_id": inst.speaker_id,
-        "language_id": inst.language_id,
-        "blob": blob,
-        "rows": inst.features.num_frames,
-        "cols": inst.features.dim,
-        "crc32": blob_checksum(directory / blob),
-    }
-
-
 def save_manifest(bundle: CorpusBundle, directory) -> None:
     """Write the bundle as a JSON index plus one AWEF blob per matrix."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    records = {"train": [], "templates": [], "utterances": []}
-    for i, inst in enumerate(bundle.train_instances):
-        records["train"].append(_write_instance(directory, f"train_{i:05d}", inst))
-    for i, inst in enumerate(bundle.template_instances):
-        records["templates"].append(_write_instance(directory, f"tmpl_{i:05d}", inst))
-    for uid, seq in bundle.utterances:
-        blob = f"utt_{uid:05d}.awef"
-        write_blob(directory / blob, seq.frames)
-        records["utterances"].append(
+
+    def instances(stem, insts):
+        return [
             {
-                "utterance_id": uid,
-                "blob": blob,
-                "rows": seq.num_frames,
-                "cols": seq.dim,
-                "crc32": blob_checksum(directory / blob),
+                "word_id": inst.word_id,
+                "speaker_id": inst.speaker_id,
+                "language_id": inst.language_id,
+                **write_record(directory, f"{stem}_{i:05d}.awef", inst.features.frames),
             }
-        )
-    index = {
+            for i, inst in enumerate(insts)
+        ]
+
+    manifest = {
         "version": MANIFEST_VERSION,
         "spec": codec.dump(bundle.spec),
-        **records,
-        "ground_truth": [
-            {
-                "utterance_id": o.utterance_id,
-                "word_id": o.word_id,
-                "start_frame": o.start_frame,
-                "end_frame": o.end_frame,
-            }
-            for o in bundle.ground_truth
+        "train": instances("train", bundle.train_instances),
+        "templates": instances("tmpl", bundle.template_instances),
+        "utterances": [
+            {"utterance_id": uid, **write_record(directory, f"utt_{uid:05d}.awef", seq.frames)}
+            for uid, seq in bundle.utterances
         ],
+        "ground_truth": [asdict(o) for o in bundle.ground_truth],
     }
-    with open(directory / MANIFEST_NAME, "w") as f:
-        json.dump(index, f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
-def _read_record_blob(directory: Path, rec: dict) -> np.ndarray:
-    path = directory / rec["blob"]
-    if not path.exists():
-        raise FormatError(f"missing feature blob {path}")
-    if blob_checksum(path) != rec["crc32"]:
-        raise IntegrityError(f"checksum mismatch for blob {path}")
-    frames = read_blob(path)
-    if frames.shape != (rec["rows"], rec["cols"]):
-        raise IntegrityError(
-            f"blob {path} has shape {frames.shape}, manifest says ({rec['rows']}, {rec['cols']})"
-        )
-    return frames
+    codec.write_json(directory / MANIFEST_NAME, manifest)
 
 
 def load_manifest(directory) -> CorpusBundle:
@@ -327,40 +289,32 @@ def load_manifest(directory) -> CorpusBundle:
         raise FormatError(f"no {MANIFEST_NAME} in {directory}")
     try:
         index = json.loads(index_path.read_text())
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IntegrityError(f"corrupt manifest {index_path}: {e}") from e
-    if index.get("version") != MANIFEST_VERSION:
-        raise FormatError(f"unsupported manifest version {index.get('version')}")
-    spec = codec.load(CorpusSpec, index["spec"], "spec")
+    if not isinstance(index, dict) or index.get("version") != MANIFEST_VERSION:
+        raise FormatError(f"{index_path} is not a version {MANIFEST_VERSION} manifest")
 
-    def load_instances(records):
+    def instances(records):
         return tuple(
             WordInstance(
                 word_id=rec["word_id"],
                 speaker_id=rec["speaker_id"],
                 language_id=rec["language_id"],
-                features=FeatureSequence(frames=_read_record_blob(directory, rec)),
+                features=FeatureSequence(frames=read_record(directory, rec)),
             )
             for rec in records
         )
 
-    utterances = tuple(
-        (rec["utterance_id"], FeatureSequence(frames=_read_record_blob(directory, rec)))
-        for rec in index["utterances"]
-    )
-    ground_truth = tuple(
-        Occurrence(
-            utterance_id=rec["utterance_id"],
-            word_id=rec["word_id"],
-            start_frame=rec["start_frame"],
-            end_frame=rec["end_frame"],
+    try:
+        return CorpusBundle(
+            spec=codec.load(CorpusSpec, index["spec"], "spec"),
+            train_instances=instances(index["train"]),
+            template_instances=instances(index["templates"]),
+            utterances=tuple(
+                (rec["utterance_id"], FeatureSequence(frames=read_record(directory, rec)))
+                for rec in index["utterances"]
+            ),
+            ground_truth=tuple(Occurrence(**rec) for rec in index["ground_truth"]),
         )
-        for rec in index["ground_truth"]
-    )
-    return CorpusBundle(
-        spec=spec,
-        train_instances=load_instances(index["train"]),
-        template_instances=load_instances(index["templates"]),
-        utterances=utterances,
-        ground_truth=ground_truth,
-    )
+    except (KeyError, TypeError) as e:
+        raise IntegrityError(f"corrupt manifest {index_path}: bad record ({e!r})") from e

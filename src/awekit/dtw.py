@@ -11,14 +11,9 @@ from .matcher import ZERO_NORM_COST, RankedList
 
 
 @dataclass(frozen=True)
-class WarpPath:
-    pairs: tuple[tuple[int, int], ...]  # (query index, content index), 0-based
-
-
-@dataclass(frozen=True)
 class DtwResult:
     cost: float
-    path: WarpPath
+    path: tuple[tuple[int, int], ...]  # (query index, content index), 0-based
     span: tuple[int, int]  # [start_j, end_j) on the content axis
 
 
@@ -98,7 +93,7 @@ def dtw_from_costs(costs: np.ndarray) -> DtwResult:
     acc = _accumulate(costs, free_start=False)
     ta, tb = acc.shape
     path = _backtrace(acc, ta - 1, tb - 1, free_start=False)
-    return DtwResult(cost=float(acc[-1, -1]), path=WarpPath(pairs=path), span=(0, tb))
+    return DtwResult(cost=float(acc[-1, -1]), path=path, span=(0, tb))
 
 
 def sdtw(query: FeatureSequence, content: FeatureSequence) -> DtwResult:
@@ -113,7 +108,7 @@ def sdtw_from_costs(costs: np.ndarray) -> DtwResult:
     path = _backtrace(acc, tq - 1, end_j, free_start=True)
     return DtwResult(
         cost=float(acc[-1, end_j]),
-        path=WarpPath(pairs=path),
+        path=path,
         span=(path[0][1], end_j + 1),
     )
 
@@ -123,23 +118,18 @@ def normalized_sdtw_cost(query: FeatureSequence, content: FeatureSequence) -> fl
     return sdtw(query, content).cost / query.num_frames
 
 
-def fuse_templates_dtw(templates, main_index: int = 0) -> FeatureSequence:
-    """Average templates frame-wise along DTW alignments to a main template.
+def fuse_templates_dtw(templates) -> FeatureSequence:
+    """Average templates frame-wise along DTW alignments to the first one.
 
-    Each main-template frame is replaced by the mean of itself and every
-    frame (from every other template) aligned to it."""
+    Each frame of the first (main) template is replaced by the mean of
+    itself and every frame (from every other template) aligned to it."""
     templates = list(templates)
     if not templates:
         raise ValidationError("need at least one template")
-    if not 0 <= main_index < len(templates):
-        raise ValidationError(f"main_index {main_index} out of range")
-    main = templates[main_index]
+    main = templates[0]
     groups = [[main.frames[t].astype(np.float64)] for t in range(main.num_frames)]
-    for k, other in enumerate(templates):
-        if k == main_index:
-            continue
-        result = dtw(other, main)
-        for i, j in result.path.pairs:
+    for other in templates[1:]:
+        for i, j in dtw(other, main).path:
             groups[j].append(other.frames[i].astype(np.float64))
     fused = np.stack([np.mean(g, axis=0) for g in groups])
     return FeatureSequence(
@@ -163,7 +153,7 @@ def sdtw_search(keyword_templates: dict, utterances, fusion: str = "none"):
         if not templates:
             raise ValidationError(f"keyword {keyword_id} has no templates")
         if fusion == "dtw":
-            probes = [fuse_templates_dtw(templates, main_index=0)]
+            probes = [fuse_templates_dtw(templates)]
         else:
             probes = list(templates)
         scored = [

@@ -46,7 +46,6 @@ class ScoreTrace:
 @dataclass(frozen=True)
 class KeywordQuery:
     keyword_id: int
-    template_embeddings: np.ndarray  # [n_templates, d]
     fused: np.ndarray  # [d]
 
 
@@ -119,18 +118,18 @@ def fuse_templates_mean(embeddings: np.ndarray) -> np.ndarray:
     return embs.mean(axis=0)
 
 
-def make_query(keyword_id, params, cfg, window_cfg: WindowConfig, templates) -> KeywordQuery:
-    """Embed keyword templates (padded/clipped to the window size) and fuse."""
+def embed_templates(params, cfg, window_cfg: WindowConfig, templates) -> np.ndarray:
+    """Embeddings [n, d] of templates padded/clipped to the window size."""
     if not templates:
-        raise ValidationError(f"keyword {keyword_id} has no templates")
+        raise ValidationError("no templates to embed")
     w = window_cfg.window_frames(templates[0].frame_shift)
-    fitted = [pad_or_clip(t, w) for t in templates]
-    embs = embed_sequences(params, cfg, fitted)
-    return KeywordQuery(
-        keyword_id=keyword_id,
-        template_embeddings=np.asarray(embs, dtype=np.float64),
-        fused=fuse_templates_mean(embs),
-    )
+    return embed_sequences(params, cfg, [pad_or_clip(t, w) for t in templates])
+
+
+def make_query(keyword_id, params, cfg, window_cfg: WindowConfig, templates) -> KeywordQuery:
+    """Embed keyword templates and fuse them by their mean."""
+    embs = embed_templates(params, cfg, window_cfg, templates)
+    return KeywordQuery(keyword_id=keyword_id, fused=fuse_templates_mean(embs))
 
 
 def embed_windows(params, cfg, seq: FeatureSequence, window_cfg: WindowConfig):

@@ -111,11 +111,9 @@ def render_table(report: MetricsReport, group_language=None) -> str:
     return "\n".join(lines)
 
 
-def relevance_from_ground_truth(occurrences, keyword_ids=None) -> dict:
+def relevance_from_ground_truth(occurrences) -> dict:
     """keyword_id -> set of utterance ids, from occurrence records."""
     rel: dict[int, set] = {}
     for occ in occurrences:
         rel.setdefault(occ.word_id, set()).add(occ.utterance_id)
-    if keyword_ids is not None:
-        rel = {k: rel[k] for k in keyword_ids if k in rel}
     return rel

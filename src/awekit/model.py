@@ -404,7 +404,10 @@ def load_model(path):
     params = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode()
+        try:
+            name = bytes(take(name_len)).decode()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"model file {path}: tensor name is not UTF-8: {e}") from e
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         size = int(np.prod(shape)) if shape else 1

@@ -36,12 +36,6 @@ class BlockLayout:
     def total(self) -> int:
         return self.blocks[-1][1]
 
-    def block_of(self, index: int) -> int:
-        for lang, (begin, end) in enumerate(self.blocks):
-            if begin <= index < end:
-                return lang
-        raise ValidationError(f"index {index} outside layout [0, {self.total})")
-
 
 def _pair(v):
     return (v, v) if isinstance(v, int) else tuple(v)

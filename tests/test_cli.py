@@ -53,6 +53,12 @@ def config_file(tmp_path):
     return path
 
 
+def error_record(result) -> dict:
+    """The failure a stage reported: exit code 2 and one JSON record as all of stderr."""
+    assert result.exit_code == 2, result.output
+    return json.loads(result.stderr)
+
+
 def pipeline_artifacts(config_path):
     cfg = RunConfig.load(config_path)
     return cfg
@@ -176,12 +182,46 @@ class TestErrorHandling:
         mcfg = ModelConfig(input_dim=8, stage_channels=(2, 3, 4, 6))
         cfg.model_path.parent.mkdir(parents=True)
         save_model(build_network(mcfg), mcfg, cfg.model_path)
-        raw = bytearray(cfg.model_path.read_bytes())
-        raw[14] = 0xFF  # inside the config JSON, not valid UTF-8
-        cfg.model_path.write_bytes(bytes(raw))
-        result = run(["search"], config_file)
-        assert result.exit_code == 2
-        assert json.loads(result.stderr)["error"] == "FormatError"
+        good = cfg.model_path.read_bytes()
+        cfg_len = int.from_bytes(good[8:12], "little")
+        # 0xFF is never valid UTF-8: once inside the config JSON, once as
+        # the first byte of the first tensor name (after its u32 count and length)
+        for offset in (14, 12 + cfg_len + 8):
+            raw = bytearray(good)
+            raw[offset] = 0xFF
+            cfg.model_path.write_bytes(bytes(raw))
+            result = run(["search"], config_file)
+            assert result.exit_code == 2
+            assert json.loads(result.stderr)["error"] == "FormatError"
+
+    def test_manifest_record_without_blob(self, config_file):
+        run(["synth"], config_file)
+        manifest = RunConfig.load(config_file).corpus_dir / "manifest.json"
+        index = json.loads(manifest.read_text())
+        del index["train"][0]["blob"]
+        manifest.write_text(json.dumps(index))
+        record = error_record(run(["train"], config_file))
+        assert record["error"] == "IntegrityError"
+        assert "manifest.json" in record["message"]
+
+    def test_truncated_results_line(self, config_file):
+        sdtw = ["--system", "sdtw", "--fusion", "none"]
+        run(["synth"], config_file)
+        run([*sdtw, "search"], config_file)
+        results = RunConfig.load(config_file).results_path
+        last = results.read_text().splitlines()[-1]
+        with open(results, "a") as f:
+            f.write(last[: len(last) // 2] + "\n")
+        record = error_record(run([*sdtw, "eval"], config_file))
+        assert record["error"] == "FormatError"
+        assert "is not a result record" in record["message"]
+
+    def test_results_of_another_system(self, config_file):
+        for cmd in (["synth"], ["train"], ["search"]):
+            run(cmd, config_file)
+        record = error_record(run(["--system", "sdtw", "eval"], config_file))
+        assert record["error"] == "ValidationError"
+        assert "'awe' results" in record["message"]
 
 
 class TestFeaturize:

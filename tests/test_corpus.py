@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_codec import json_trees
 
 from awekit import blobio
 from awekit.corpus import (
@@ -12,7 +15,7 @@ from awekit.corpus import (
     synth_corpus,
     validate_bundle,
 )
-from awekit.errors import FormatError, IntegrityError, ValidationError
+from awekit.errors import AwekitError, FormatError, IntegrityError, ValidationError
 from awekit.features import FeatureSequence
 
 
@@ -164,11 +167,45 @@ class TestManifestRoundTrip:
             assert p1.read_bytes() == (d2 / p1.name).read_bytes()
 
 
+@pytest.fixture(scope="module")
+def saved_corpus(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("corpus")
+    spec = small_spec(instances_per_word_per_speaker=1, feature_dim=4, num_search_utterances=2)
+    save_manifest(synth_corpus(spec), directory)
+    return directory, (directory / "manifest.json").read_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    section=st.sampled_from(["spec", "train", "templates", "utterances", "ground_truth"]),
+    data=st.data(),
+)
+def test_corrupt_manifest_raises_only_typed_errors(saved_corpus, section, data):
+    """Drop one key or replace one value, of a whole section or of one record in it."""
+    directory, text = saved_corpus
+    index = json.loads(text)
+    holder, keys = index, [section]
+    if data.draw(st.booleans(), label="inside a record"):
+        holder = index[section] if section == "spec" else data.draw(st.sampled_from(index[section]))
+        keys = sorted(holder)
+    key = data.draw(st.sampled_from(keys), label="key")
+    if data.draw(st.booleans(), label="drop"):
+        del holder[key]
+    else:
+        holder[key] = data.draw(json_trees, label="value")
+    (directory / "manifest.json").write_text(json.dumps(index))
+    try:
+        load_manifest(directory)
+    except AwekitError:
+        pass
+
+
 class TestBlobFormat:
     def test_header_layout(self, tmp_path):
         path = tmp_path / "m.awef"
-        blobio.write_blob(path, np.arange(6, dtype=np.float32).reshape(2, 3))
+        crc = blobio.write_blob(path, np.arange(6, dtype=np.float32).reshape(2, 3))
         raw = path.read_bytes()
+        assert crc == zlib.crc32(raw)
         assert raw[:4] == b"AWEF"
         assert int.from_bytes(raw[8:12], "little") == 2  # rows
         assert int.from_bytes(raw[12:16], "little") == 3  # cols

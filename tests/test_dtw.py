@@ -89,7 +89,7 @@ class TestDtw:
         a = seq(rng.normal(size=(5, 3)))
         result = dtw(a, a)
         assert result.cost == pytest.approx(0.0, abs=1e-9)
-        assert result.path.pairs == tuple((i, i) for i in range(5))
+        assert result.path == tuple((i, i) for i in range(5))
 
     def test_scalar_example_with_absolute_cost(self):
         # a=(0,3), b=(0,1,3) with |.| local cost
@@ -97,7 +97,7 @@ class TestDtw:
         costs = np.abs(a[:, None] - b[None, :])
         result = dtw_from_costs(costs)
         assert result.cost == pytest.approx(enumerate_paths_cost(costs)) == pytest.approx(1.0)
-        assert result.path.pairs == ((0, 0), (0, 1), (1, 2))
+        assert result.path == ((0, 0), (0, 1), (1, 2))
 
     def test_cost_symmetry(self):
         rng = np.random.default_rng(1)
@@ -108,7 +108,7 @@ class TestDtw:
         rng = np.random.default_rng(2)
         costs = rng.uniform(size=(5, 6))
         result = dtw_from_costs(costs)
-        assert sum(costs[i, j] for i, j in result.path.pairs) == pytest.approx(
+        assert sum(costs[i, j] for i, j in result.path) == pytest.approx(
             result.cost, abs=1e-6
         )
 
@@ -169,7 +169,7 @@ class TestSdtw:
     def test_path_cost_sum(self):
         costs = np.random.default_rng(7).uniform(size=(4, 7))
         result = sdtw_from_costs(costs)
-        assert sum(costs[i, j] for i, j in result.path.pairs) == pytest.approx(
+        assert sum(costs[i, j] for i, j in result.path) == pytest.approx(
             result.cost, abs=1e-6
         )
 
@@ -188,7 +188,7 @@ class TestFusion:
         rng = np.random.default_rng(10)
         main = rng.normal(size=(4, 3)).astype(np.float32)
         doubled = np.repeat(main, 2, axis=0)
-        fused = fuse_templates_dtw([seq(main), seq(doubled)], main_index=0)
+        fused = fuse_templates_dtw([seq(main), seq(doubled)])
         np.testing.assert_allclose(fused.frames, main, atol=1e-5)
         assert fused.num_frames == 4
 

@@ -147,7 +147,3 @@ class TestRelevanceFromGroundTruth:
         occs = [self.Occ(0, 5), self.Occ(0, 5), self.Occ(0, 6), self.Occ(1, 5)]
         rel = relevance_from_ground_truth(occs)
         assert rel == {0: {5, 6}, 1: {5}}
-
-    def test_keyword_filter(self):
-        occs = [self.Occ(0, 5), self.Occ(1, 5)]
-        assert relevance_from_ground_truth(occs, keyword_ids=[1, 2]) == {1: {5}}
