@@ -245,8 +245,10 @@ def _read_results(path: Path, system: str) -> dict:
                 if number == 1 and rec["system"] != system:
                     raise ValidationError(f"{path} holds {rec['system']!r} results, not {system!r}")
                 if number > 1:
-                    entry = (rec["rank"], rec["utterance_id"], rec["score"])
-                    entries.setdefault(rec["keyword_id"], []).append(entry)
+                    keyword, rank, utterance = codec.ints(rec, "keyword_id", "rank", "utterance_id")
+                    if type(rec["score"]) not in (int, float) or not np.isfinite(rec["score"]):
+                        raise TypeError(f"score {rec['score']!r} is not a finite number")
+                    entries.setdefault(keyword, []).append((rank, utterance, rec["score"]))
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise FormatError(f"{path} line {number} is not a result record: {e!r}") from e
     return entries

@@ -35,6 +35,14 @@ def write_json(path, payload) -> None:
         f.write("\n")
 
 
+def ints(record: dict, *keys) -> tuple[int, ...]:
+    """record[key] for each key; TypeError unless each is an int (a bool is not)."""
+    values = tuple(record[k] for k in keys)
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"{', '.join(keys)} must be integers, got {values}")
+    return values
+
+
 def load(cls, data, where: str = ""):
     """Instance of dataclass `cls` from parsed JSON; missing keys keep defaults."""
     if not isinstance(data, dict):

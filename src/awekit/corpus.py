@@ -294,24 +294,20 @@ def load_manifest(directory) -> CorpusBundle:
     if not isinstance(index, dict) or index.get("version") != MANIFEST_VERSION:
         raise FormatError(f"{index_path} is not a version {MANIFEST_VERSION} manifest")
 
-    def instances(records):
-        return tuple(
-            WordInstance(
-                word_id=rec["word_id"],
-                speaker_id=rec["speaker_id"],
-                language_id=rec["language_id"],
-                features=FeatureSequence(frames=read_record(directory, rec)),
-            )
-            for rec in records
-        )
+    def instance(rec):
+        word, speaker, lang = codec.ints(rec, "word_id", "speaker_id", "language_id")
+        if word not in range(spec.num_words) or lang != spec.word_language(word):
+            raise IntegrityError(f"corrupt manifest {index_path}: bad word {word}/language {lang}")
+        return WordInstance(word, speaker, lang, FeatureSequence(read_record(directory, rec)))
 
     try:
+        spec = codec.load(CorpusSpec, index["spec"], "spec")
         return CorpusBundle(
-            spec=codec.load(CorpusSpec, index["spec"], "spec"),
-            train_instances=instances(index["train"]),
-            template_instances=instances(index["templates"]),
+            spec=spec,
+            train_instances=tuple(map(instance, index["train"])),
+            template_instances=tuple(map(instance, index["templates"])),
             utterances=tuple(
-                (rec["utterance_id"], FeatureSequence(frames=read_record(directory, rec)))
+                (*codec.ints(rec, "utterance_id"), FeatureSequence(read_record(directory, rec)))
                 for rec in index["utterances"]
             ),
             ground_truth=tuple(Occurrence(**rec) for rec in index["ground_truth"]),

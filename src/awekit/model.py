@@ -43,7 +43,6 @@ class ModelConfig:
     lr_factor: float = 0.5
     min_lr: float = 1e-4
     grad_clip_norm: float = 1.0  # 0 disables clipping
-    input_mean_norm: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -202,10 +201,7 @@ def _batch_array(seqs: list[FeatureSequence], cfg: ModelConfig):
     t_max = max(lens)
     batch = np.zeros((len(seqs), 1, dim, t_max), dtype=tk.default_dtype())
     for i, s in enumerate(seqs):
-        frames = s.frames.astype(tk.default_dtype())
-        if cfg.input_mean_norm:
-            frames = frames - frames.mean(axis=0, keepdims=True)
-        batch[i, 0, :, : lens[i]] = frames.T
+        batch[i, 0, :, : lens[i]] = s.frames.T
     return batch, np.asarray(lens, dtype=np.int64)
 
 
@@ -228,24 +224,18 @@ def embed_sequences(params, cfg: ModelConfig, seqs, batch_size=128) -> np.ndarra
     return out
 
 
-def total_loss(outputs1, outputs2, targets1, targets2, e1, e2, alpha, layout, lang1, lang2):
-    """Joint objective: CE(anchor) + CE(partner) + alpha * MSE(embeddings).
+def total_loss(logits, emb, targets, lang, layout, alpha):
+    """Joint objective CE(anchors) + CE(partners) + alpha * MSE(their
+    embeddings) over one graph of B anchors followed by their B partners;
+    with equal halves, twice the CE mean over 2B items is CE1 + CE2.
 
     Returns (total, ce_sum_value, mse_value) with total a scalar Tensor.
     """
-    ce1 = tk.block_cross_entropy(outputs1, layout, lang1, targets1)
-    ce2 = tk.block_cross_entropy(outputs2, layout, lang2, targets2)
-    l_mse = tk.mse(e1, e2)
-    total = ce1 + ce2 + l_mse.scale(alpha)
-    return total, float(ce1.value + ce2.value), float(l_mse.value)
-
-
-def _block_argmax(logits: np.ndarray, layout: tk.BlockLayout, lang) -> np.ndarray:
-    pred = np.empty(logits.shape[0], dtype=np.int64)
-    for i in range(logits.shape[0]):
-        begin, end = layout.blocks[lang[i]]
-        pred[i] = begin + int(np.argmax(logits[i, begin:end]))
-    return pred
+    half = emb.shape[0] // 2
+    ce = tk.block_cross_entropy(logits, layout, lang, targets).scale(2.0)
+    l_mse = tk.mse(emb[:half], emb[half:])
+    total = ce + l_mse.scale(alpha)
+    return total, float(ce.value), float(l_mse.value)
 
 
 def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainReport]:
@@ -296,26 +286,17 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
         n_batches = 0
         for start in range(0, n, cfg.batch_size):
             anchor_idx = perm[start : start + cfg.batch_size]
-            partner_idx = np.array(
-                [
-                    partners[i][int(rng.integers(0, len(partners[i])))] if partners[i] else i
-                    for i in anchor_idx
-                ]
-            )
-            anchors = [instances[i] for i in anchor_idx]
-            mates = [instances[i] for i in partner_idx]
+            partner_idx = [
+                partners[i][int(rng.integers(0, len(partners[i])))] if partners[i] else i
+                for i in anchor_idx
+            ]
+            items = [instances[i] for i in (*anchor_idx, *partner_idx)]
             pt = _as_param_tensors(params)
-            b1, l1 = _batch_array([a.features for a in anchors], cfg)
-            b2, l2 = _batch_array([m.features for m in mates], cfg)
-            e1, out1 = _forward_graph(pt, cfg, tk.Tensor(b1), l1)
-            e2, out2 = _forward_graph(pt, cfg, tk.Tensor(b2), l2)
-            t1 = np.array([a.word_id for a in anchors])
-            t2 = np.array([m.word_id for m in mates])
-            g1 = np.array([a.language_id if cfg.softmax_mode == "block" else 0 for a in anchors])
-            g2 = np.array([m.language_id if cfg.softmax_mode == "block" else 0 for m in mates])
-            loss, ce_val, mse_val = total_loss(
-                out1, out2, t1, t2, e1, e2, cfg.alpha, layout, g1, g2
-            )
+            batch, lens = _batch_array([it.features for it in items], cfg)
+            emb, logits = _forward_graph(pt, cfg, tk.Tensor(batch), lens)
+            targets = np.array([it.word_id for it in items])
+            lang = np.array([it.language_id if cfg.softmax_mode == "block" else 0 for it in items])
+            loss, ce_val, mse_val = total_loss(logits, emb, targets, lang, layout, cfg.alpha)
             if not np.isfinite(loss.value):
                 raise ValidationError(
                     f"non-finite loss {loss.value} at epoch {epoch}, batch {n_batches}"
@@ -332,7 +313,8 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
             ep_total += float(loss.value)
             ep_ce += ce_val
             ep_mse += mse_val
-            correct += int((_block_argmax(out1.value, layout, g1) == t1).sum())
+            pred = tk.block_softmax(logits.value, layout, lang).argmax(axis=1)
+            correct += int((pred == targets)[: len(anchor_idx)].sum())
             n_batches += 1
         mean_loss = ep_total / n_batches
         report.epochs.append(

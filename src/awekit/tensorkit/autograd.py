@@ -103,5 +103,15 @@ class Tensor:
         out._backward = backward
         return out
 
+    def __getitem__(self, rows):
+        """Row slice; backward scatters the gradient into zeros."""
+
+        def backward(g):
+            full = np.zeros_like(self.value)
+            full[rows] = g
+            self._accumulate(full)
+
+        return Tensor(self.value[rows], (self,), backward)
+
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, dtype={self.value.dtype})"

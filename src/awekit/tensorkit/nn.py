@@ -160,48 +160,50 @@ def gap_masked(x: Tensor, valid_t) -> Tensor:
     return out
 
 
+def _block_softmax(logits: np.ndarray, layout: BlockLayout, lang):
+    """(probabilities [B,N], log-sum-exp [B], block bounds [B,2]) of each row's
+    softmax over its language's block; other columns are masked to -inf, so 0."""
+    if logits.ndim != 2 or logits.shape[1] != layout.total:
+        raise ShapeError(f"logits shape {logits.shape} vs layout total {layout.total}")
+    b, n = logits.shape
+    lang = np.asarray(lang, dtype=np.int64)
+    if lang.shape != (b,):
+        raise ShapeError(f"language ids shape {lang.shape}, expected ({b},)")
+    if ((lang < 0) | (lang >= len(layout.blocks))).any():
+        raise ValidationError(f"language ids {lang.tolist()} outside [0, {len(layout.blocks)})")
+    bounds = np.asarray(layout.blocks)[lang]
+    cols = np.arange(n)
+    z = np.where((cols >= bounds[:, :1]) & (cols < bounds[:, 1:]), logits, -np.inf)
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    return e / s, (m + np.log(s))[:, 0], bounds
+
+
 def block_softmax(activations: np.ndarray, layout: BlockLayout, lang) -> np.ndarray:
     """Softmax over each item's active language block; zero elsewhere.
 
     Plain array function (the differentiable path is the fused
     block_cross_entropy)."""
-    a = np.asarray(activations, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != layout.total:
-        raise ShapeError(f"activations shape {a.shape} vs layout total {layout.total}")
-    lang = np.asarray(lang, dtype=np.int64)
-    out = np.zeros_like(a)
-    for b in range(a.shape[0]):
-        begin, end = layout.blocks[lang[b]]
-        z = a[b, begin:end]
-        e = np.exp(z - z.max())
-        out[b, begin:end] = e / e.sum()
-    return out
+    return _block_softmax(np.asarray(activations, dtype=np.float64), layout, lang)[0]
 
 
 def block_cross_entropy(logits: Tensor, layout: BlockLayout, lang, targets) -> Tensor:
     """Mean cross-entropy of each item's target under its active block's
     softmax, computed in fused log-sum-exp form."""
-    b, n = logits.shape
-    if n != layout.total:
-        raise ShapeError(f"logits width {n} vs layout total {layout.total}")
-    lang = np.asarray(lang, dtype=np.int64)
+    probs, lse, bounds = _block_softmax(logits.value, layout, lang)
+    b = probs.shape[0]
     targets = np.asarray(targets, dtype=np.int64)
-    losses = np.empty(b, dtype=logits.value.dtype)
-    dlogits = np.zeros_like(logits.value)
-    for i in range(b):
-        begin, end = layout.blocks[lang[i]]
-        if not begin <= targets[i] < end:
-            raise ValidationError(
-                f"target {targets[i]} outside language {lang[i]} block [{begin}, {end})"
-            )
-        z = logits.value[i, begin:end]
-        m = z.max()
-        e = np.exp(z - m)
-        s = e.sum()
-        losses[i] = m + np.log(s) - logits.value[i, targets[i]]
-        dlogits[i, begin:end] = e / s
-        dlogits[i, targets[i]] -= 1.0
-    out = Tensor(losses.mean(), (logits,))
+    if targets.shape != (b,):
+        raise ShapeError(f"targets shape {targets.shape}, expected ({b},)")
+    outside = (targets < bounds[:, 0]) | (targets >= bounds[:, 1])
+    if outside.any():
+        raise ValidationError(f"targets {targets[outside].tolist()} outside their language blocks")
+    rows = np.arange(b)
+    out = Tensor((lse - logits.value[rows, targets]).mean(), (logits,))
+
+    dlogits = probs.copy()
+    dlogits[rows, targets] -= 1.0
 
     def backward(g):
         logits._accumulate(dlogits * (g / b))

@@ -109,23 +109,25 @@ def test_criterion_1_gradient_correctness():
         seed=7,
     )
     rng = np.random.default_rng(0)
+    # 2 anchors, then 2 distinct same-word partners, so the MSE term and
+    # its gradient are non-zero
     seqs = [
-        FeatureSequence(frames=rng.normal(size=(t, 6)).astype(np.float32)) for t in (6, 9)
+        FeatureSequence(frames=rng.normal(size=(t, 6)).astype(np.float32))
+        for t in (6, 9, 8, 7)
     ]
     t0 = time.time()
     worst = {}
     for mode in ("one", "block"):
         cfg = dataclasses.replace(cfg_base, softmax_mode=mode)
-        lang = [0, 1] if mode == "block" else [0, 0]
+        lang = [0, 1, 0, 1] if mode == "block" else [0, 0, 0, 0]
         with tk.float64_mode():
             pt = {n: tk.Tensor(p) for n, p in build_network(cfg).items()}
             b, lens = _batch_array(seqs, cfg)
 
             def loss_fn():
                 e, out = _forward_graph(pt, cfg, tk.Tensor(b.copy()), lens)
-                total, _, _ = total_loss(
-                    out, out, [0, 2], [0, 2], e, e, 0.8, cfg.layout, lang, lang
-                )
+                total, _, mse = total_loss(out, e, [0, 2, 0, 2], lang, cfg.layout, 0.8)
+                assert mse > 0
                 return total
 
             worst[mode] = tk.grad_check(loss_fn, pt, h=1e-5, max_coords=6)
@@ -257,6 +259,7 @@ def test_criterion_4_noise_free_retrieval():
     )
 
 
+@pytest.mark.desk
 def test_criterion_5_desk_scale_training(desk_runs):
     accs = [desk_runs[(s, 0.8)]["report"].epochs[-1].accuracy for s in SEEDS]
     seconds = [desk_runs[(s, 0.8)]["seconds"] for s in SEEDS]
@@ -289,6 +292,7 @@ def cross_speaker_distance(run):
     return float(np.mean(dists))
 
 
+@pytest.mark.desk
 def test_criterion_6_variability_invariant_loss(desk_runs, retrieval):
     map_with = float(np.median([retrieval[(s, 0.8)]["map5"] for s in SEEDS]))
     map_without = float(np.median([retrieval[(s, 0.0)]["map5"] for s in SEEDS]))
@@ -303,6 +307,7 @@ def test_criterion_6_variability_invariant_loss(desk_runs, retrieval):
     )
 
 
+@pytest.mark.desk
 def test_criterion_7_multi_template(desk_runs, retrieval):
     map5 = float(np.median([retrieval[(s, 0.8)]["map5"] for s in SEEDS]))
     map10 = float(np.median([retrieval[(s, 0.8)]["map10"] for s in SEEDS]))

@@ -194,24 +194,35 @@ class TestErrorHandling:
             assert result.exit_code == 2
             assert json.loads(result.stderr)["error"] == "FormatError"
 
-    def test_manifest_record_without_blob(self, config_file):
+    @pytest.mark.parametrize(
+        "key,value",
+        [("blob", None), ("word_id", "x"), ("language_id", 7)],
+        ids=["no-blob", "word_id-str", "language_id-7"],
+    )
+    def test_bad_manifest_record(self, config_file, key, value):
         run(["synth"], config_file)
         manifest = RunConfig.load(config_file).corpus_dir / "manifest.json"
         index = json.loads(manifest.read_text())
-        del index["train"][0]["blob"]
+        rec = index["train"][0]
+        if value is None:
+            del rec[key]
+        else:
+            rec[key] = value
         manifest.write_text(json.dumps(index))
         record = error_record(run(["train"], config_file))
         assert record["error"] == "IntegrityError"
         assert "manifest.json" in record["message"]
 
-    def test_truncated_results_line(self, config_file):
+    @pytest.mark.parametrize("bad_rank", [False, True], ids=["truncated", "rank-str"])
+    def test_bad_results_line(self, config_file, bad_rank):
         sdtw = ["--system", "sdtw", "--fusion", "none"]
         run(["synth"], config_file)
         run([*sdtw, "search"], config_file)
         results = RunConfig.load(config_file).results_path
         last = results.read_text().splitlines()[-1]
+        line = json.dumps(dict(json.loads(last), rank="x")) if bad_rank else last[: len(last) // 2]
         with open(results, "a") as f:
-            f.write(last[: len(last) // 2] + "\n")
+            f.write(line + "\n")
         record = error_record(run([*sdtw, "eval"], config_file))
         assert record["error"] == "FormatError"
         assert "is not a result record" in record["message"]

@@ -132,29 +132,46 @@ class TestForward:
 class TestTotalLoss:
     def test_hand_arithmetic(self):
         # build components whose values we can pin: use mse directly and
-        # fake CE via single-class blocks (CE of a 1-class block is 0)
+        # fake CE via single-class blocks (CE of a 1-class block is 0);
+        # row 0 is the anchor, row 1 its partner
         layout = tk.BlockLayout(((0, 1), (1, 2)))
-        logits1 = tk.Tensor(np.array([[0.3, 0.1]]))
-        logits2 = tk.Tensor(np.array([[0.2, 0.4]]))
-        e1 = tk.Tensor(np.array([[1.0, 0.0]]))
-        e2 = tk.Tensor(np.array([[0.0, 1.0]]))  # mse = (1 + 1) / 2 = 1.0
-        total, ce_sum, mse_val = total_loss(
-            logits1, logits2, [0], [1], e1, e2, 0.8, layout, [0], [1]
-        )
+        logits = tk.Tensor(np.array([[0.3, 0.1], [0.2, 0.4]]))
+        emb = tk.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))  # mse = (1 + 1) / 2 = 1.0
+        total, ce_sum, mse_val = total_loss(logits, emb, [0, 1], [0, 1], layout, 0.8)
         assert ce_sum == pytest.approx(0.0, abs=1e-12)
         assert mse_val == pytest.approx(1.0)
         assert float(total.value) == pytest.approx(0.8)
 
     def test_two_class_ln2(self):
         layout = tk.BlockLayout.single(2)
-        logits = tk.Tensor(np.zeros((1, 2)))
-        e = tk.Tensor(np.zeros((1, 3)))
-        total, ce_sum, mse_val = total_loss(
-            logits, logits, [0], [1], e, e, 0.8, layout, [0], [0]
-        )
+        logits = tk.Tensor(np.zeros((2, 2)))
+        emb = tk.Tensor(np.zeros((2, 3)))
+        total, ce_sum, mse_val = total_loss(logits, emb, [0, 1], [0, 0], layout, 0.8)
         assert ce_sum == pytest.approx(2 * np.log(2))
         assert mse_val == 0.0
         assert float(total.value) == pytest.approx(2 * np.log(2))
+
+    def test_joint_graph_matches_separate_forwards(self):
+        # one padded graph over anchors + partners gives the loss of two
+        # separate forward passes: CE(anchors) + CE(partners) + alpha * MSE
+        cfg = dataclasses.replace(TINY, softmax_mode="block")
+        anchors, partners = seqs([6, 11], seed=12), seqs([9, 7], seed=13)
+        targets, lang = [0, 2], [0, 1]
+        with tk.float64_mode():
+            params = build_network(cfg)
+            (e1, out1), (e2, out2) = forward(params, cfg, anchors), forward(params, cfg, partners)
+            ce = sum(
+                float(tk.block_cross_entropy(tk.Tensor(out), cfg.layout, lang, targets).value)
+                for out in (out1, out2)
+            )
+            mse = float(tk.mse(tk.Tensor(e1), tk.Tensor(e2)).value)
+            emb, logits = forward(params, cfg, anchors + partners)
+            total, ce_sum, mse_val = total_loss(
+                tk.Tensor(logits), tk.Tensor(emb), targets * 2, lang * 2, cfg.layout, 0.8
+            )
+        assert mse > 0
+        np.testing.assert_allclose([ce_sum, mse_val], [ce, mse], rtol=1e-5)
+        np.testing.assert_allclose(float(total.value), ce + 0.8 * mse, rtol=1e-5)
 
 
 class TestGradients:
@@ -164,14 +181,14 @@ class TestGradients:
         cfg = dataclasses.replace(TINY, softmax_mode="block")
         with tk.float64_mode():
             pt = {n: tk.Tensor(p) for n, p in build_network(cfg).items()}
-            pool = seqs([6, 9], seed=11)
+            # 2 anchors, then 2 distinct partners: the MSE term is non-zero
+            pool = seqs([6, 9, 8, 7], seed=11)
             b, lens = _batch_array(pool, cfg)
 
             def loss_fn():
                 e, out = _forward_graph(pt, cfg, tk.Tensor(b.copy()), lens)
-                total, _, _ = total_loss(
-                    out, out, [0, 2], [0, 2], e, e, 0.8, cfg.layout, [0, 1], [0, 1]
-                )
+                total, _, mse = total_loss(out, e, [0, 2, 0, 2], [0, 1, 0, 1], cfg.layout, 0.8)
+                assert mse > 0
                 return total
 
             worst = tk.grad_check(loss_fn, pt, max_coords=4)

@@ -162,6 +162,14 @@ class TestBlockSoftmax:
             inactive = np.concatenate([out[i, :begin], out[i, end:]])
             assert (inactive == 0).all()
 
+    @pytest.mark.parametrize("lang", [-1, 2])
+    def test_language_outside_layout(self, lang):
+        # -1 would otherwise index the last block and 2 past the end
+        with pytest.raises(ValidationError, match="language ids"):
+            tk.block_softmax(np.zeros((2, 4)), self.LAYOUT, [0, lang])
+        with pytest.raises(ValidationError, match="language ids"):
+            tk.block_cross_entropy(tk.Tensor(np.zeros((2, 4))), self.LAYOUT, [0, lang], [0, 0])
+
     def test_layout_validation(self):
         with pytest.raises(ValidationError):
             tk.BlockLayout(((0, 2), (3, 4)))  # gap
@@ -291,6 +299,18 @@ class TestGradCheck:
                 return tk.mse(tk.linear(x, w, b), target)
 
             assert tk.grad_check(loss_fn, {"w": w, "b": b}) < 1e-8
+
+    def test_row_slices(self):
+        # the split total_loss uses: two halves of one tensor, one row unused
+        rng = np.random.default_rng(14)
+        with tk.float64_mode():
+            x = tk.Tensor(rng.normal(size=(5, 3)))
+
+            def loss_fn():
+                return tk.mse(x[:2], x[2:4])
+
+            assert tk.grad_check(loss_fn, {"x": x}) < 1e-8
+        np.testing.assert_array_equal(x.grad[4], 0.0)
 
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(13)
