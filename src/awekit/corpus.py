@@ -300,17 +300,25 @@ def load_manifest(directory) -> CorpusBundle:
             raise IntegrityError(f"corrupt manifest {index_path}: bad word {word}/language {lang}")
         return WordInstance(word, speaker, lang, FeatureSequence(read_record(directory, rec)))
 
+    def occurrence(rec):
+        utt, word, _, _ = codec.ints(rec, "utterance_id", "word_id", "start_frame", "end_frame")
+        if word not in range(spec.num_words) or utt not in utterance_ids:
+            raise IntegrityError(f"corrupt manifest {index_path}: bad utterance {utt}/word {word}")
+        return Occurrence(**rec)
+
     try:
         spec = codec.load(CorpusSpec, index["spec"], "spec")
+        utterances = tuple(
+            (*codec.ints(rec, "utterance_id"), FeatureSequence(read_record(directory, rec)))
+            for rec in index["utterances"]
+        )
+        utterance_ids = {uid for uid, _ in utterances}
         return CorpusBundle(
             spec=spec,
             train_instances=tuple(map(instance, index["train"])),
             template_instances=tuple(map(instance, index["templates"])),
-            utterances=tuple(
-                (*codec.ints(rec, "utterance_id"), FeatureSequence(read_record(directory, rec)))
-                for rec in index["utterances"]
-            ),
-            ground_truth=tuple(Occurrence(**rec) for rec in index["ground_truth"]),
+            utterances=utterances,
+            ground_truth=tuple(map(occurrence, index["ground_truth"])),
         )
     except (KeyError, TypeError) as e:
         raise IntegrityError(f"corrupt manifest {index_path}: bad record ({e!r})") from e

@@ -1,7 +1,7 @@
 """Dynamic time warping baseline: global DTW, subsequence DTW search over
 frame features, and DTW-based multi-template fusion."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,15 +41,14 @@ def _backtrace(acc: np.ndarray, i: int, j: int, free_start: bool):
     path = [(i, j)]
     while i > 0 or (j > 0 and not free_start):
         if i > 0 and j > 0:
-            options = (acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
-            pick = int(np.argmin(options))
+            diag, up, left = acc.item(i - 1, j - 1), acc.item(i - 1, j), acc.item(i, j - 1)
+            if diag <= up and diag <= left:
+                i, j = i - 1, j - 1
+            elif up <= left:
+                i -= 1
+            else:
+                j -= 1
         elif i > 0:
-            pick = 1
-        else:
-            pick = 2
-        if pick == 0:
-            i, j = i - 1, j - 1
-        elif pick == 1:
             i -= 1
         else:
             j -= 1
@@ -61,9 +60,10 @@ def _accumulate(costs, free_start: bool) -> np.ndarray:
     """Accumulated-cost matrix for steps {(1,0),(0,1),(1,1)}.
 
     With free_start every column of the first row may start a path
-    (subsequence DTW); otherwise paths start at (0, 0). Each variant keeps
-    its own first-row/first-column summation order, so results stay
-    bit-identical and backtrace ties break the same way."""
+    (subsequence DTW); otherwise paths start at (0, 0). Each later row is a
+    min-plus prefix scan: acc[i, j] = run[j] + min over k <= j of
+    (moves[k] + costs[i, k] - run[k]), where run[j] = sum(costs[i, 1:j+1]),
+    moves[k] = min(acc[i-1, k-1], acc[i-1, k]) and the k = 0 term is acc[i, 0]."""
     costs = np.asarray(costs, dtype=np.float64)
     ta, tb = costs.shape
     if ta < 1 or tb < 1:
@@ -76,11 +76,16 @@ def _accumulate(costs, free_start: bool) -> np.ndarray:
         acc[0, 0] = costs[0, 0]
         acc[0, 1:] = costs[0, 1:].cumsum() + costs[0, 0]
         acc[1:, 0] = costs[1:, 0].cumsum() + costs[0, 0]
-    for i in range(1, ta):
-        row = acc[i]
-        prev = acc[i - 1]
-        for j in range(1, tb):
-            row[j] = costs[i, j] + min(prev[j - 1], prev[j], row[j - 1])
+    run = np.zeros((ta - 1, tb))
+    costs[1:, 1:].cumsum(axis=1, out=run[:, 1:])
+    lead = costs[1:] - run
+    lead[:, 0] = acc[1:, 0]
+    moves = np.zeros(tb)  # moves[0] stays 0, so lead[:, 0] is the k = 0 term
+    for diag, up, lead_i, run_i, row in zip(acc[:-1, :-1], acc[:-1, 1:], lead, run, acc[1:]):
+        np.minimum(diag, up, out=moves[1:])
+        np.add(moves, lead_i, out=row)
+        np.minimum.accumulate(row, out=row)
+        row += run_i
     return acc
 
 
@@ -103,14 +108,9 @@ def sdtw(query: FeatureSequence, content: FeatureSequence) -> DtwResult:
 
 def sdtw_from_costs(costs: np.ndarray) -> DtwResult:
     acc = _accumulate(costs, free_start=True)
-    tq = acc.shape[0]
     end_j = int(np.argmin(acc[-1]))
-    path = _backtrace(acc, tq - 1, end_j, free_start=True)
-    return DtwResult(
-        cost=float(acc[-1, end_j]),
-        path=path,
-        span=(path[0][1], end_j + 1),
-    )
+    path = _backtrace(acc, acc.shape[0] - 1, end_j, free_start=True)
+    return DtwResult(cost=float(acc[-1, end_j]), path=path, span=(path[0][1], end_j + 1))
 
 
 def normalized_sdtw_cost(query: FeatureSequence, content: FeatureSequence) -> float:
@@ -127,16 +127,13 @@ def fuse_templates_dtw(templates) -> FeatureSequence:
     if not templates:
         raise ValidationError("need at least one template")
     main = templates[0]
-    groups = [[main.frames[t].astype(np.float64)] for t in range(main.num_frames)]
+    sums = main.frames.astype(np.float64)
+    counts = np.ones(main.num_frames)
     for other in templates[1:]:
-        for i, j in dtw(other, main).path:
-            groups[j].append(other.frames[i].astype(np.float64))
-    fused = np.stack([np.mean(g, axis=0) for g in groups])
-    return FeatureSequence(
-        frames=fused.astype(np.float32),
-        frame_shift=main.frame_shift,
-        frame_length=main.frame_length,
-    )
+        i, j = np.array(dtw(other, main).path).T
+        np.add.at(sums, j, other.frames[i].astype(np.float64))
+        counts += np.bincount(j, minlength=main.num_frames)
+    return replace(main, frames=(sums / counts[:, None]).astype(np.float32))
 
 
 def sdtw_search(keyword_templates: dict, utterances, fusion: str = "none"):
@@ -152,14 +149,8 @@ def sdtw_search(keyword_templates: dict, utterances, fusion: str = "none"):
     for keyword_id, templates in keyword_templates.items():
         if not templates:
             raise ValidationError(f"keyword {keyword_id} has no templates")
-        if fusion == "dtw":
-            probes = [fuse_templates_dtw(templates)]
-        else:
-            probes = list(templates)
-        scored = [
-            (utt_id, float(min(normalized_sdtw_cost(p, seq) for p in probes)))
-            for utt_id, seq in utterances
-        ]
+        probes = [fuse_templates_dtw(templates)] if fusion == "dtw" else list(templates)
+        scored = [(u, min(normalized_sdtw_cost(p, seq) for p in probes)) for u, seq in utterances]
         scored.sort(key=lambda e: (e[1], e[0]))
         rankings[keyword_id] = RankedList(keyword_id=keyword_id, entries=tuple(scored))
     return rankings

@@ -195,15 +195,29 @@ class TestErrorHandling:
             assert json.loads(result.stderr)["error"] == "FormatError"
 
     @pytest.mark.parametrize(
-        "key,value",
-        [("blob", None), ("word_id", "x"), ("language_id", 7)],
-        ids=["no-blob", "word_id-str", "language_id-7"],
+        "section,key,value",
+        [
+            ("train", "blob", None),
+            ("train", "word_id", "x"),
+            ("train", "language_id", 7),
+            ("ground_truth", "word_id", 99),
+            ("ground_truth", "word_id", "x"),
+            ("ground_truth", "utterance_id", 10**6),
+        ],
+        ids=[
+            "no-blob",
+            "word_id-str",
+            "language_id-7",
+            "gt-word_id-99",
+            "gt-word_id-str",
+            "gt-utterance_id-unknown",
+        ],
     )
-    def test_bad_manifest_record(self, config_file, key, value):
+    def test_bad_manifest_record(self, config_file, section, key, value):
         run(["synth"], config_file)
         manifest = RunConfig.load(config_file).corpus_dir / "manifest.json"
         index = json.loads(manifest.read_text())
-        rec = index["train"][0]
+        rec = index[section][0]
         if value is None:
             del rec[key]
         else:

@@ -14,7 +14,7 @@ from awekit.dtw import (
 )
 from awekit.errors import ShapeError, ValidationError
 from awekit.features import FeatureSequence
-from awekit.matcher import RankedList
+from awekit.matcher import ZERO_NORM_COST, RankedList
 
 
 def enumerate_paths_cost(costs):
@@ -45,6 +45,48 @@ def sdtw_oracle(costs):
         for s in range(tc)
         for e in range(s + 1, tc + 1)
     )
+
+
+def loop_dtw(costs, free_start):
+    """Nested-loop DP and backtrace (oracle for the row-scan kernel).
+
+    Returns cost, path and span as the kernel does, and whether the choice
+    of end column or any backtrace step met an exact tie."""
+    ta, tb = costs.shape
+    acc = np.empty((ta, tb))
+    for i in range(ta):
+        for j in range(tb):
+            preds = [acc[p] for p in ((i - 1, j - 1), (i - 1, j), (i, j - 1)) if min(p) >= 0]
+            if i == 0 and free_start:
+                preds = []
+            acc[i, j] = costs[i, j] + min(preds, default=0.0)
+    i, j = ta - 1, int(np.argmin(acc[-1])) if free_start else tb - 1
+    tied = free_start and np.count_nonzero(acc[-1] == acc[-1, j]) > 1
+    path = [(i, j)]
+    while i > 0 or (j > 0 and not free_start):
+        # preference order: diagonal, then (1, 0), then (0, 1)
+        steps = [p for p in ((i - 1, j - 1), (i - 1, j), (i, j - 1)) if min(p) >= 0]
+        values = [acc[p] for p in steps]
+        tied = tied or values.count(min(values)) > 1
+        i, j = steps[values.index(min(values))]
+        path.append((i, j))
+    path = tuple(reversed(path))
+    span = (path[0][1], path[-1][1] + 1) if free_start else (0, tb)
+    return float(acc[path[-1]]), path, span, tied
+
+
+COST_KINDS = ("random", "quarters", "zero-norm-columns")
+
+
+def draw_costs(kind, shape, seed):
+    """Cosine-range costs; quarter values make every sum exact and ties common."""
+    rng = np.random.default_rng(seed)
+    if kind == "quarters":
+        return rng.integers(0, 5, size=shape) / 4.0
+    costs = rng.uniform(0.0, 2.0, size=shape)
+    if kind == "zero-norm-columns":
+        costs[:, rng.random(shape[1]) < 0.4] = ZERO_NORM_COST
+    return costs
 
 
 def seq(rows):
@@ -128,6 +170,33 @@ class TestDtw:
         with pytest.raises(ValidationError):
             dtw_from_costs(np.zeros((0, 3)))
 
+    def test_tie_order(self):
+        # At (2,2) up and left tie below the diagonal, so (1,0) beats (0,1);
+        # at (1,2) the diagonal and up tie, so the diagonal wins. Any other
+        # preference order gives another path.
+        costs = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        assert dtw_from_costs(costs).path == ((0, 0), (0, 1), (1, 2), (2, 2))
+
+
+class TestRowScan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(COST_KINDS),
+        ta=st.integers(1, 10),
+        tb=st.integers(1, 30),
+        seed=st.integers(0, 10**6),
+        free_start=st.booleans(),
+    )
+    def test_matches_nested_loop(self, kind, ta, tb, seed, free_start):
+        costs = draw_costs(kind, (ta, tb), seed)
+        got = (sdtw_from_costs if free_start else dtw_from_costs)(costs)
+        cost, path, span, tied = loop_dtw(costs, free_start)
+        assert got.cost == pytest.approx(cost, abs=1e-9)
+        # quarter-valued sums are exact, so even tied paths must agree
+        if kind == "quarters" or not tied:
+            assert got.path == path
+            assert got.span == span
+
 
 class TestSdtw:
     def test_verbatim_occurrence(self):
@@ -195,6 +264,28 @@ class TestFusion:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             fuse_templates_dtw([])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        dim=st.integers(2, 5),
+        rounded=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_per_frame_list_mean(self, lengths, dim, rounded, seed):
+        # np.mean sums the rows of a frame group in order when frames have
+        # two or more dims (over one dim it sums pairwise), so the fusion's
+        # in-order sums must give the same bits.
+        rng = np.random.default_rng(seed)
+        frames = [rng.normal(scale=3.0, size=(n, dim)) for n in lengths]
+        templates = [seq(np.round(f) if rounded else f) for f in frames]
+        main = templates[0]
+        groups = [[f.astype(np.float64)] for f in main.frames]
+        for other in templates[1:]:
+            for i, j in dtw(other, main).path:
+                groups[j].append(other.frames[i].astype(np.float64))
+        want = np.stack([np.mean(g, axis=0) for g in groups]).astype(np.float32)
+        np.testing.assert_array_equal(fuse_templates_dtw(templates).frames, want)
 
 
 class TestSdtwSearch:
