@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import codec
 from .errors import FormatError, IntegrityError
 
 MAGIC = b"AWEF"
@@ -23,12 +24,9 @@ def write_blob(path, matrix: np.ndarray) -> int:
     m = np.ascontiguousarray(matrix, dtype="<f4")
     if m.ndim != 2:
         raise FormatError(f"blob matrix must be 2-D, got shape {m.shape}")
-    header = _HEADER.pack(MAGIC, VERSION, m.shape[0], m.shape[1])
-    data = m.tobytes()
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(data)
-    return zlib.crc32(data, zlib.crc32(header))
+    raw = _HEADER.pack(MAGIC, VERSION, m.shape[0], m.shape[1]) + m.tobytes()
+    codec.write_atomic(path, raw)
+    return zlib.crc32(raw)
 
 
 def read_blob(path, crc32: int | None = None) -> np.ndarray:
@@ -64,11 +62,13 @@ def write_record(directory, blob: str, matrix: np.ndarray) -> dict:
 
 
 def read_record(directory, rec: dict) -> np.ndarray:
-    """The matrix a manifest record names, checked against its CRC32 and shape."""
+    """The matrix a manifest record names, checked against its CRC32 and shape;
+    KeyError or TypeError when the record lacks a field or has one of the wrong type."""
     path = Path(directory) / rec["blob"]
-    matrix = read_blob(path, crc32=rec["crc32"])
-    if matrix.shape != (rec["rows"], rec["cols"]):
+    rows, cols, crc32 = codec.ints(rec, "rows", "cols", "crc32")
+    matrix = read_blob(path, crc32=crc32)
+    if matrix.shape != (rows, cols):
         raise IntegrityError(
-            f"blob {path} has shape {matrix.shape}, manifest says ({rec['rows']}, {rec['cols']})"
+            f"blob {path} has shape {matrix.shape}, manifest says ({rows}, {cols})"
         )
     return matrix

@@ -109,7 +109,6 @@ def featurize(cfg: RunConfig, wav_dir):
     wavs = sorted(Path(wav_dir).glob("*.wav"))
     if not wavs:
         raise ValidationError(f"no .wav files in {wav_dir}")
-    cfg.features_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for wav_path in wavs:
         frames = fbank(read_wav(wav_path), cfg.fbank).frames
@@ -129,9 +128,7 @@ def train(cfg: RunConfig):
     bundle = _load_bundle(cfg)
     mcfg = _model_cfg_for(cfg, bundle.spec)
     params, report = model_mod.train(mcfg, bundle.train_instances)
-    cfg.model_path.parent.mkdir(parents=True, exist_ok=True)
     model_mod.save_model(params, mcfg, cfg.model_path)
-    codec.write_json(cfg.model_path.parent / "provenance.json", cfg.provenance())
     codec.write_json(
         cfg.train_report_path,
         {"provenance": cfg.provenance(), **codec.dump(report)},
@@ -157,21 +154,21 @@ def embed(cfg: RunConfig):
     bundle = _load_bundle(cfg)
     _require(cfg.model_path, "train")
     params, mcfg = model_mod.load_model(cfg.model_path)
-    cfg.embeddings_dir.mkdir(parents=True, exist_ok=True)
     templates = bundle.template_instances
     tmpl_embs = matcher.embed_templates(params, mcfg, cfg.window, [t.features for t in templates])
-    blobio.write_blob(cfg.embeddings_dir / "templates.awef", tmpl_embs)
-    tmpl_index = [
-        {"row": row, "keyword_id": inst.word_id, "speaker_id": inst.speaker_id}
-        for row, inst in enumerate(templates)
-    ]
+    tmpl_index = {
+        **blobio.write_record(cfg.embeddings_dir, "templates.awef", tmpl_embs),
+        "items": [
+            {"row": row, "keyword_id": inst.word_id, "speaker_id": inst.speaker_id}
+            for row, inst in enumerate(templates)
+        ],
+    }
 
     utt_index = []
     for utt_id, seq in bundle.utterances:
         starts, embs = matcher.embed_windows(params, mcfg, seq, cfg.window)
-        blob = f"utt_{utt_id:05d}.awef"
-        blobio.write_blob(cfg.embeddings_dir / blob, embs)
-        utt_index.append({"utterance_id": utt_id, "blob": blob, "window_starts": starts.tolist()})
+        record = blobio.write_record(cfg.embeddings_dir, f"utt_{utt_id:05d}.awef", embs)
+        utt_index.append({"utterance_id": utt_id, **record, "window_starts": starts.tolist()})
     codec.write_json(
         cfg.embeddings_dir / "index.json",
         {
@@ -219,13 +216,10 @@ def search(cfg: RunConfig, dump_traces):
                 tr = traces[(keyword_id, utt_id)]
                 rec["best_window_start"] = int(tr.window_starts[int(np.argmin(tr.costs))])
             records.append(rec)
-    cfg.results_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(cfg.results_path, "w") as f:
-        f.write(json.dumps({"provenance": cfg.provenance(), "system": cfg.system}) + "\n")
-        for rec in records:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+    header = json.dumps({"provenance": cfg.provenance(), "system": cfg.system})
+    lines = [header, *(json.dumps(rec, sort_keys=True) for rec in records)]
+    codec.write_atomic(cfg.results_path, "".join(line + "\n" for line in lines))
     if dump_traces and traces is not None:
-        cfg.traces_dir.mkdir(parents=True, exist_ok=True)
         for (keyword_id, utt_id), tr in traces.items():
             blobio.write_blob(
                 cfg.traces_dir / f"kw{keyword_id:04d}_utt{utt_id:05d}.awef",
@@ -280,7 +274,7 @@ def eval_cmd(cfg: RunConfig):
         },
     )
     table = metrics.render_table(report, language)
-    (cfg.report_path.parent / "metrics.txt").write_text(table + "\n")
+    codec.write_atomic(cfg.report_path.parent / "metrics.txt", table + "\n")
     click.echo(table)
 
 

@@ -4,11 +4,13 @@
 dataclass from parsed JSON and rejects unknown keys, wrong types and
 non-object sections with a ValidationError naming the dotted key; range
 checks stay in each class's `__post_init__`. `write_json` writes every
-JSON artifact in one layout.
+JSON artifact in one layout, and `write_atomic` is the one routine that
+writes artifact files.
 """
 
 import dataclasses
 import json
+import os
 import types
 import typing
 from pathlib import Path
@@ -25,14 +27,25 @@ def _json_dict(items) -> dict:
     return {k: str(v) if isinstance(v, Path) else v for k, v in items}
 
 
-def write_json(path, payload) -> None:
-    """Write `payload` with indent 1, sorted keys and a trailing newline,
-    creating the parent directory."""
+def write_atomic(path, data: bytes | str) -> None:
+    """Write `data` to `path`, creating the parent directory, through a
+    temporary file beside it and `os.replace`: a write that fails leaves
+    the old file, if any, as it was and no temporary file behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
-        f.write("\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` with indent 1, sorted keys and a trailing newline."""
+    write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def ints(record: dict, *keys) -> tuple[int, ...]:

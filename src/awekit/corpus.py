@@ -255,7 +255,6 @@ def validate_bundle(bundle: CorpusBundle) -> None:
 def save_manifest(bundle: CorpusBundle, directory) -> None:
     """Write the bundle as a JSON index plus one AWEF blob per matrix."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
 
     def instances(stem, insts):
         return [

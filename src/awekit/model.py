@@ -5,13 +5,12 @@ embedding, and model file I/O."""
 import json
 import logging
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import codec, tensorkit as tk
+from . import blobio, codec, tensorkit as tk
 from .errors import (
     FormatError,
     IncompatibleModelError,
@@ -21,9 +20,6 @@ from .errors import (
 from .features import FeatureSequence
 
 log = logging.getLogger(__name__)
-
-MODEL_MAGIC = b"AWEM"
-MODEL_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -60,6 +56,8 @@ class ModelConfig:
             raise ValidationError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         if not self.num_classes_per_language or min(self.num_classes_per_language) < 1:
             raise ValidationError("every language needs at least one class")
+        if min(self.stage_channels) < 1 or self.seed < 0:
+            raise ValidationError("stage_channels must be >= 1 and seed >= 0")
 
     @property
     def num_classes(self) -> int:
@@ -99,6 +97,26 @@ def _he_uniform(rng, shape, fan_in):
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter, in initialization order."""
+    c0 = cfg.stage_channels[0]
+    shapes = {"conv1.w": (c0, 1, 7, 7)}
+    in_ch = c0
+    for s, (out_ch, n_blocks) in enumerate(zip(cfg.stage_channels, cfg.stage_blocks)):
+        for b in range(n_blocks):
+            prefix = f"res{s + 1}.{b}"
+            stride_block = b == 0 and cfg.stage_downsample[s]
+            block_in = in_ch if b == 0 else out_ch
+            shapes[f"{prefix}.conv1.w"] = (out_ch, block_in, 3, 3)
+            shapes[f"{prefix}.conv2.w"] = (out_ch, out_ch, 3, 3)
+            if stride_block or block_in != out_ch:
+                shapes[f"{prefix}.proj.w"] = (out_ch, block_in, 1, 1)
+        in_ch = out_ch
+    shapes["fc.w"] = (cfg.embedding_dim, cfg.num_classes)
+    shapes["fc.b"] = (cfg.num_classes,)
+    return shapes
+
+
 def build_network(cfg: ModelConfig) -> dict[str, np.ndarray]:
     """He-uniform initialized parameters for the full layer stack.
 
@@ -109,29 +127,12 @@ def build_network(cfg: ModelConfig) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(cfg.seed)
     dtype = tk.default_dtype()
     params: dict[str, np.ndarray] = {}
-
-    c0 = cfg.stage_channels[0]
-    params["conv1.w"] = _he_uniform(rng, (c0, 1, 7, 7), 1 * 7 * 7).astype(dtype)
-    in_ch = c0
-    for s, (out_ch, n_blocks) in enumerate(zip(cfg.stage_channels, cfg.stage_blocks)):
-        for b in range(n_blocks):
-            prefix = f"res{s + 1}.{b}"
-            stride_block = b == 0 and cfg.stage_downsample[s]
-            block_in = in_ch if b == 0 else out_ch
-            params[f"{prefix}.conv1.w"] = _he_uniform(
-                rng, (out_ch, block_in, 3, 3), block_in * 9
-            ).astype(dtype)
-            params[f"{prefix}.conv2.w"] = _he_uniform(
-                rng, (out_ch, out_ch, 3, 3), out_ch * 9
-            ).astype(dtype)
-            if stride_block or block_in != out_ch:
-                params[f"{prefix}.proj.w"] = _he_uniform(
-                    rng, (out_ch, block_in, 1, 1), block_in
-                ).astype(dtype)
-        in_ch = out_ch
-    d = cfg.embedding_dim
-    params["fc.w"] = _he_uniform(rng, (d, cfg.num_classes), d).astype(dtype)
-    params["fc.b"] = np.zeros(cfg.num_classes, dtype=dtype)
+    for name, shape in _param_shapes(cfg).items():
+        if name == "fc.b":
+            params[name] = np.zeros(shape, dtype=dtype)
+        else:  # fan-in: input channels x kernel area for a conv, rows for fc.w
+            fan_in = shape[0] if name == "fc.w" else math.prod(shape[1:])
+            params[name] = _he_uniform(rng, shape, fan_in).astype(dtype)
     return params
 
 
@@ -338,74 +339,47 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
 
 
 def save_model(params: dict[str, np.ndarray], cfg: ModelConfig, path) -> None:
-    """Binary model file: magic, version, config JSON, named f32 tensors."""
-    cfg_blob = json.dumps(codec.dump(cfg), sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<I", MODEL_VERSION))
-        f.write(struct.pack("<I", len(cfg_blob)))
-        f.write(cfg_blob)
-        f.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype="<f4")
-            enc = name.encode()
-            f.write(struct.pack("<I", len(enc)))
-            f.write(enc)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+    """The tensors, flattened in sorted-name order into one [1, P] float32
+    AWEF blob at `path`, and a header beside it (`path` with suffix .json)
+    holding the config, the tensor table and the blob's record. The blob is
+    written first: if the header write is cut short, the old header's CRC32
+    rejects the new blob."""
+    path = Path(path)
+    names = sorted(params)
+    flat = np.concatenate([np.ravel(params[name]) for name in names])[None, :]
+    record = blobio.write_record(path.parent, path.name, flat)
+    table = [[name, list(params[name].shape)] for name in names]
+    codec.write_json(
+        path.with_suffix(".json"), {"config": codec.dump(cfg), "tensors": table, **record}
+    )
 
 
 def load_model(path):
-    """Load (params, cfg) from a model file, validating against the config."""
+    """(params, cfg) of a model written by `save_model`: the blob is checked
+    against its header's record, the tensor table against the config."""
     path = Path(path)
-    raw = path.read_bytes()
-    view = memoryview(raw)
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(raw):
-            raise FormatError(f"model file {path} truncated at byte {pos}")
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
-
-    if bytes(take(4)) != MODEL_MAGIC:
-        raise FormatError(f"model file {path}: bad magic")
-    (version,) = struct.unpack("<I", take(4))
-    if version != MODEL_VERSION:
-        raise FormatError(f"model file {path}: unsupported version {version}")
-    (cfg_len,) = struct.unpack("<I", take(4))
-    cfg_blob = bytes(take(cfg_len))
+    header_path = path.with_suffix(".json")
     try:
-        cfg = codec.load(ModelConfig, json.loads(cfg_blob.decode()), "model")
-    except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as e:
-        raise FormatError(f"model file {path}: corrupt config header: {e}") from e
-    (count,) = struct.unpack("<I", take(4))
-    params = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        try:
-            name = bytes(take(name_len)).decode()
-        except UnicodeDecodeError as e:
-            raise FormatError(f"model file {path}: tensor name is not UTF-8: {e}") from e
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape).copy()
-        params[name] = data
-    expected = build_network(cfg)
-    if set(expected) != set(params):
-        raise IncompatibleModelError(
-            f"model file {path}: tensor names do not match config "
-            f"(missing {sorted(set(expected) - set(params))}, "
-            f"extra {sorted(set(params) - set(expected))})"
-        )
-    for name, ref in expected.items():
-        if params[name].shape != ref.shape:
+        header = json.loads(header_path.read_text())
+        cfg = codec.load(ModelConfig, header["config"], "model")
+        table = {name: shape for name, shape in header["tensors"]}
+        if header["blob"] != path.name:
+            raise ValueError(f"it names blob {header['blob']!r}")
+        flat = blobio.read_record(path.parent, header)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise FormatError(f"model header {header_path} is not valid: {e!r}") from e
+    shapes = {name: list(shape) for name, shape in sorted(_param_shapes(cfg).items())}
+    for name in sorted(table.keys() | shapes.keys(), key=str):
+        if table.get(name) != shapes.get(name):
             raise IncompatibleModelError(
-                f"model file {path}: tensor {name} has shape {params[name].shape}, "
-                f"config implies {ref.shape}"
+                f"model {path}: tensor {name!r} has shape {table.get(name)} in the header, "
+                f"the config implies {shapes.get(name)}"
             )
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if flat.shape != (1, sum(sizes)):
+        raise IncompatibleModelError(
+            f"model {path} holds {flat.size} values, its tensors {sum(sizes)}"
+        )
+    chunks = np.split(flat[0], np.cumsum(sizes)[:-1])
+    params = {name: chunk.reshape(shape) for (name, shape), chunk in zip(shapes.items(), chunks)}
     return params, cfg

@@ -404,6 +404,7 @@ def test_criterion_9_determinism_round_trips(tmp_path):
                     for p in sorted((workdir / "corpus").glob("*.awef"))
                 },
                 "model": (workdir / "models" / "model.awem").read_bytes(),
+                "model header": (workdir / "models" / "model.json").read_bytes(),
                 "results": (workdir / "results" / "results.jsonl").read_bytes(),
             }
         )

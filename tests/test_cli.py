@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+from test_codec import json_trees
 
+from awekit import blobio, errors
 from awekit.cli import main
 from awekit.config import RunConfig
 from awekit.model import ModelConfig, build_network, save_model
@@ -77,6 +80,30 @@ class TestPipeline:
         assert "config_hash" in report["provenance"]
         table = (cfg.report_path.parent / "metrics.txt").read_text()
         assert "all" in table
+
+    def test_every_blob_has_a_record(self, config_file):
+        """Each blob is named, with its shape and CRC32, by a JSON file of its directory."""
+        for cmd in (["synth"], ["train"], ["embed"], ["search"], ["eval"]):
+            assert run(cmd, config_file).exit_code == 0
+        workdir = RunConfig.load(config_file).workdir
+
+        def records(tree):
+            if isinstance(tree, dict):
+                if {"blob", "rows", "cols", "crc32"} <= tree.keys():
+                    yield tree
+                tree = list(tree.values())
+            if isinstance(tree, list):
+                for item in tree:
+                    yield from records(item)
+
+        named = set()
+        for index in workdir.rglob("*.json"):
+            for rec in records(json.loads(index.read_text())):
+                blobio.read_record(index.parent, rec)
+                named.add(index.parent / rec["blob"])
+        blobs = {*workdir.rglob("*.awef"), *workdir.rglob("*.awem")}
+        assert {p.suffix for p in blobs} == {".awef", ".awem"}
+        assert named == blobs
 
     def test_end_to_end_sdtw(self, config_file):
         run(["synth"], config_file)
@@ -180,19 +207,28 @@ class TestErrorHandling:
         run(["synth"], config_file)
         cfg = RunConfig.load(config_file)
         mcfg = ModelConfig(input_dim=8, stage_channels=(2, 3, 4, 6))
-        cfg.model_path.parent.mkdir(parents=True)
         save_model(build_network(mcfg), mcfg, cfg.model_path)
-        good = cfg.model_path.read_bytes()
-        cfg_len = int.from_bytes(good[8:12], "little")
-        # 0xFF is never valid UTF-8: once inside the config JSON, once as
-        # the first byte of the first tensor name (after its u32 count and length)
-        for offset in (14, 12 + cfg_len + 8):
-            raw = bytearray(good)
-            raw[offset] = 0xFF
-            cfg.model_path.write_bytes(bytes(raw))
-            result = run(["search"], config_file)
-            assert result.exit_code == 2
-            assert json.loads(result.stderr)["error"] == "FormatError"
+        header_path = cfg.model_path.with_suffix(".json")
+        header, blob = header_path.read_text(), cfg.model_path.read_bytes()
+        flipped = bytearray(blob)
+        flipped[-1] ^= 0x01
+        unknown_key = header.replace('"config": {', '"config": {"x": 1, ')
+        cases = [
+            (header[:-5], blob, "FormatError", "JSONDecodeError"),
+            (unknown_key, blob, "FormatError", "'model.x'"),
+            (None, blob, "FormatError", "FileNotFoundError"),
+            (header, bytes(flipped), "IntegrityError", "checksum mismatch"),
+            (header, blob[:-10], "IntegrityError", "checksum mismatch"),
+        ]
+        for text, raw, error, fragment in cases:
+            header_path.unlink(missing_ok=True)
+            if text is not None:
+                header_path.write_text(text)
+            cfg.model_path.write_bytes(raw)
+            record = error_record(run(["search"], config_file))
+            assert record["error"] == error
+            assert fragment in record["message"]
+            assert ("model header " in record["message"]) == (error == "FormatError")
 
     @pytest.mark.parametrize(
         "section,key,value",
@@ -247,6 +283,39 @@ class TestErrorHandling:
         record = error_record(run(["--system", "sdtw", "eval"], config_file))
         assert record["error"] == "ValidationError"
         assert "'awe' results" in record["message"]
+
+
+SDTW = ["--system", "sdtw", "--fusion", "none"]
+
+
+@pytest.fixture(scope="module")
+def sdtw_results(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("results")
+    config_path = directory / "config.json"
+    config_path.write_text(json.dumps(dict(TINY_CONFIG, workdir=str(directory / "run"))))
+    run(["synth"], config_path)
+    run([*SDTW, "search"], config_path)
+    results = RunConfig.load(config_path).results_path
+    return config_path, results, results.read_text().splitlines()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupt_results_raise_only_typed_errors(sdtw_results, data):
+    """Drop one key or replace one value of one results line, header included."""
+    config_path, results, lines = sdtw_results
+    number = data.draw(st.integers(0, len(lines) - 1), label="line")
+    rec = json.loads(lines[number])
+    key = data.draw(st.sampled_from(sorted(rec)), label="key")
+    if data.draw(st.booleans(), label="drop"):
+        del rec[key]
+    else:
+        rec[key] = data.draw(json_trees, label="value")
+    lines = [*lines[:number], json.dumps(rec), *lines[number + 1 :]]
+    results.write_text("".join(line + "\n" for line in lines))
+    result = run([*SDTW, "eval"], config_path)
+    if result.exit_code:
+        assert issubclass(getattr(errors, error_record(result)["error"]), errors.AwekitError)
 
 
 class TestFeaturize:

@@ -1,11 +1,13 @@
 import dataclasses
+import os
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from awekit import codec
+from awekit import blobio, codec
 from awekit.config import RunConfig
 from awekit.corpus import CorpusSpec
 from awekit.errors import AwekitError, ValidationError
@@ -38,6 +40,25 @@ def test_scalar_types():
         codec.load(ModelConfig, {"stage_downsample": [False, 1, True, True]})
     with pytest.raises(ValidationError, match="word_len_frames must have 2 items"):
         codec.load(CorpusSpec, {"word_len_frames": [1, 2, 3]})
+
+
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    json_path, blob_path = tmp_path / "a.json", tmp_path / "b.awef"
+    codec.write_json(json_path, {"a": 1})
+    blobio.write_blob(blob_path, np.ones((2, 3)))
+    old = {path: path.read_bytes() for path in (json_path, blob_path)}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        codec.write_json(json_path, {"a": 2, "b": object()})
+
+    def replace(src, dst):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="no space left"):
+        blobio.write_blob(blob_path, np.zeros((4, 4)))
+    with pytest.raises(OSError, match="no space left"):
+        codec.write_json(json_path, {"a": 3})
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == old
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)

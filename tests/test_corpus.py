@@ -219,3 +219,10 @@ class TestBlobFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="magic"):
             blobio.read_blob(path)
+
+    @pytest.mark.parametrize("key", ["rows", "cols", "crc32"])
+    def test_record_fields_must_be_integers(self, tmp_path, key):
+        # a null CRC32 would otherwise read the blob unchecked
+        rec = blobio.write_record(tmp_path, "m.awef", np.zeros((2, 3), dtype=np.float32))
+        with pytest.raises(TypeError, match="must be integers"):
+            blobio.read_record(tmp_path, {**rec, key: None})

@@ -1,13 +1,19 @@
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_codec import json_trees
 
-from awekit import tensorkit as tk
+from awekit import blobio, codec, tensorkit as tk
 from awekit.corpus import CorpusSpec, synth_corpus
 from awekit.errors import (
+    AwekitError,
     FormatError,
     IncompatibleModelError,
+    IntegrityError,
     TooShortError,
     ValidationError,
 )
@@ -52,6 +58,10 @@ class TestConfig:
             dataclasses.replace(TINY, softmax_mode="two")
         with pytest.raises(ValidationError):
             dataclasses.replace(TINY, alpha=-1.0)
+        with pytest.raises(ValidationError, match="stage_channels must be >= 1"):
+            dataclasses.replace(TINY, stage_channels=(2, 0, 4, 5))
+        with pytest.raises(ValidationError, match="seed >= 0"):
+            dataclasses.replace(TINY, seed=-1)
 
 
 class TestBuildNetwork:
@@ -297,35 +307,86 @@ class TestModelIO:
             forward(params, TINY, batch)[0], forward(loaded, cfg, batch)[0], atol=1e-6
         )
 
-    def test_bad_magic(self, tmp_path):
+    def test_file_layout(self, tmp_path):
+        params = build_network(TINY)
+        path = tmp_path / "m.awem"
+        save_model(params, TINY, path)
+        header = json.loads((tmp_path / "m.json").read_text())
+        names = sorted(params)
+        assert header["tensors"] == [[n, list(params[n].shape)] for n in names]
+        assert codec.load(ModelConfig, header["config"]) == TINY
+        flat = blobio.read_record(tmp_path, header)
+        assert header["blob"] == "m.awem" and flat.shape == (1, header["cols"])
+        np.testing.assert_array_equal(flat[0], np.concatenate([params[n].ravel() for n in names]))
+
+    @staticmethod
+    def saved(tmp_path):
         path = tmp_path / "m.awem"
         save_model(build_network(TINY), TINY, path)
+        return path
+
+    def test_bad_magic(self, tmp_path):
+        path = self.saved(tmp_path)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"JUNK"
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(IntegrityError, match="checksum mismatch"):
+            load_model(path)
+
+    def test_flipped_byte(self, tmp_path):
+        path = self.saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError, match="checksum mismatch"):
             load_model(path)
 
     def test_truncated(self, tmp_path):
-        path = tmp_path / "m.awem"
-        save_model(build_network(TINY), TINY, path)
+        path = self.saved(tmp_path)
         path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(IntegrityError, match="checksum mismatch"):
             load_model(path)
 
     @pytest.mark.parametrize(
-        "offset,byte",
-        [(14, 0xFF), (20, ord("x")), (16, ord("x"))],
-        ids=["not-utf8", "not-json", "unknown-key"],
+        "edit,fragment",
+        [
+            (lambda text: text.replace('"', "\xff", 1), "UnicodeDecodeError"),
+            (lambda text: text[:-5], "JSONDecodeError"),
+            (lambda text: text.replace('"config": {', '"config": {"x": 1, ', 1), "'model.x'"),
+            (lambda text: text.replace('"crc32"', '"crc"', 1), "KeyError('crc32')"),
+            (lambda text: text.replace('"m.awem"', '"n.awem"', 1), "names blob 'n.awem'"),
+            (None, "FileNotFoundError"),
+        ],
+        ids=["not-utf8", "not-json", "unknown-key", "no-crc32", "other-blob", "missing"],
     )
-    def test_corrupt_config_header(self, tmp_path, offset, byte):
-        # the config JSON starts at byte 12: {"alpha": ...
-        path = tmp_path / "m.awem"
-        save_model(build_network(TINY), TINY, path)
-        raw = bytearray(path.read_bytes())
-        raw[offset] = byte
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="config header"):
+    def test_corrupt_config_header(self, tmp_path, edit, fragment):
+        header = self.saved(tmp_path).with_suffix(".json")
+        if edit is None:
+            header.unlink()
+        else:
+            header.write_bytes(edit(header.read_text()).encode("latin-1"))
+        message = r"model header \S+m\.json is not valid: .*" + re.escape(fragment)
+        with pytest.raises(FormatError, match=message):
+            load_model(tmp_path / "m.awem")
+
+    def test_tensor_table_mismatch(self, tmp_path):
+        header = self.saved(tmp_path).with_suffix(".json")
+        index = json.loads(header.read_text())
+        assert index["tensors"][1] == ["fc.b", [5]]
+        index["tensors"][1][1] = [9]
+        header.write_text(json.dumps(index))
+        message = r"tensor 'fc\.b' has shape \[9\] in the header"
+        with pytest.raises(IncompatibleModelError, match=message):
+            load_model(tmp_path / "m.awem")
+
+    def test_size_mismatch(self, tmp_path):
+        # a blob and record that agree, but hold one value more than the tensors
+        path = self.saved(tmp_path)
+        header = json.loads(path.with_suffix(".json").read_text())
+        flat = blobio.read_record(tmp_path, header)
+        header.update(blobio.write_record(tmp_path, "m.awem", np.append(flat, 1.0)[None, :]))
+        path.with_suffix(".json").write_text(json.dumps(header))
+        with pytest.raises(IncompatibleModelError, match="holds .* values, its tensors"):
             load_model(path)
 
     def test_config_weight_mismatch(self, tmp_path):
@@ -336,3 +397,39 @@ class TestModelIO:
         save_model(params, other, path)
         with pytest.raises(IncompatibleModelError, match="fc"):
             load_model(path)
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("model")
+    save_model(build_network(TINY), TINY, directory / "m.awem")
+    return directory, (directory / "m.json").read_text(), (directory / "m.awem").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_model_raises_only_typed_errors(saved_model, data):
+    """Drop one key or replace one value of the header or of its config,
+    or flip or cut bytes of the blob."""
+    directory, text, raw = saved_model
+    header = json.loads(text)
+    damage = data.draw(st.sampled_from(["header", "config", "flip", "cut"]), label="damage")
+    if damage in ("header", "config"):
+        holder = header if damage == "header" else header["config"]
+        key = data.draw(st.sampled_from(sorted(holder)), label="key")
+        if data.draw(st.booleans(), label="drop"):
+            del holder[key]
+        else:
+            holder[key] = data.draw(json_trees, label="value")
+    elif damage == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        raw = raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1 :]
+    else:
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    (directory / "m.json").write_text(json.dumps(header))
+    (directory / "m.awem").write_bytes(raw)
+    try:
+        load_model(directory / "m.awem")
+    except AwekitError:
+        pass
