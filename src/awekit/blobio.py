@@ -29,14 +29,14 @@ def write_blob(path, matrix: np.ndarray) -> int:
     return zlib.crc32(raw)
 
 
-def read_blob(path, crc32: int | None = None) -> np.ndarray:
-    """The matrix of a blob file; with `crc32`, the file must have that CRC32."""
+def read_blob(path, crc32: int) -> np.ndarray:
+    """The matrix of a blob file, which must have the CRC32 `crc32`."""
     path = Path(path)
     try:
         raw = path.read_bytes()
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise FormatError(f"cannot read blob {path}: {e}") from e
-    if crc32 is not None and zlib.crc32(raw) != crc32:
+    if zlib.crc32(raw) != crc32:
         raise IntegrityError(f"checksum mismatch for blob {path}")
     if len(raw) < _HEADER.size:
         raise IntegrityError(f"blob {path}: file shorter than header")

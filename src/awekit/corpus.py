@@ -45,6 +45,8 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for name in (
             "num_words_lang_a",
             "num_words_lang_b",

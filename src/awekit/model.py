@@ -85,6 +85,8 @@ class EpochStats:
     mse_loss: float
     accuracy: float
     lr: float
+    max_grad_norm: float  # largest global gradient norm of a step, before clipping
+    clipped_steps: int  # steps whose gradient clipping scaled down
 
 
 @dataclass
@@ -285,6 +287,8 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
         ep_total = ep_ce = ep_mse = 0.0
         correct = 0
         n_batches = 0
+        max_grad_norm = 0.0
+        clipped_steps = 0
         for start in range(0, n, cfg.batch_size):
             anchor_idx = perm[start : start + cfg.batch_size]
             partner_idx = [
@@ -294,7 +298,8 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
             items = [instances[i] for i in (*anchor_idx, *partner_idx)]
             pt = _as_param_tensors(params)
             batch, lens = _batch_array([it.features for it in items], cfg)
-            emb, logits = _forward_graph(pt, cfg, tk.Tensor(batch), lens)
+            x = tk.Tensor(batch, requires_grad=False)
+            emb, logits = _forward_graph(pt, cfg, x, lens)
             targets = np.array([it.word_id for it in items])
             lang = np.array([it.language_id if cfg.softmax_mode == "block" else 0 for it in items])
             loss, ce_val, mse_val = total_loss(logits, emb, targets, lang, layout, cfg.alpha)
@@ -304,12 +309,13 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
                 )
             loss.backward()
             grads = {name: pt[name].grad for name in params}
-            if cfg.grad_clip_norm > 0:
-                norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-                if norm > cfg.grad_clip_norm:
-                    scale = cfg.grad_clip_norm / norm
-                    for g in grads.values():
-                        g *= scale
+            norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            max_grad_norm = max(max_grad_norm, norm)
+            if 0 < cfg.grad_clip_norm < norm:
+                clipped_steps += 1
+                scale = cfg.grad_clip_norm / norm
+                for g in grads.values():
+                    g *= scale
             tk.sgd_nesterov_step(params, grads, velocity, lr, cfg.momentum)
             ep_total += float(loss.value)
             ep_ce += ce_val
@@ -325,6 +331,8 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
                 mse_loss=ep_mse / n_batches,
                 accuracy=correct / n,
                 lr=lr,
+                max_grad_norm=max_grad_norm,
+                clipped_steps=clipped_steps,
             )
         )
         if mean_loss < best_loss - 1e-6:

@@ -36,11 +36,15 @@ def asarray(x) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "_prev", "_backward")
+    """`requires_grad=False` marks a leaf whose gradient nothing reads, such
+    as the network input: its `grad` stays None and conv2d skips computing it."""
 
-    def __init__(self, value, parents=(), backward=None):
+    __slots__ = ("value", "grad", "requires_grad", "_prev", "_backward")
+
+    def __init__(self, value, parents=(), backward=None, requires_grad=True):
         self.value = asarray(value)
         self.grad = None
+        self.requires_grad = requires_grad
         self._prev = tuple(parents)
         self._backward = backward
 
@@ -49,8 +53,10 @@ class Tensor:
         return self.value.shape
 
     def _accumulate(self, g):
+        if not self.requires_grad:
+            return
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.value.dtype)
+            self.grad = np.array(g, dtype=self.value.dtype, order="C")
         else:
             self.grad += g
 

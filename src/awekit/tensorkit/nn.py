@@ -42,16 +42,25 @@ def _pair(v):
 
 
 def _im2col(xp: np.ndarray, kf, kt, sf, st, of, ot) -> np.ndarray:
+    """Channel-major columns [C*kF*kT, B, oF*oT] of a padded input [B,C,F,T]."""
     b, c, _, _ = xp.shape
-    patches = np.empty((b, c, kf, kt, of, ot), dtype=xp.dtype)
+    cols = np.empty((c, kf, kt, b, of, ot), dtype=xp.dtype)
+    xt = xp.transpose(1, 0, 2, 3)
     for i in range(kf):
         for j in range(kt):
-            patches[:, :, i, j] = xp[:, :, i : i + sf * of : sf, j : j + st * ot : st]
-    return patches.reshape(b, c * kf * kt, of * ot)
+            cols[:, i, j] = xt[:, :, i : i + sf * of : sf, j : j + st * ot : st]
+    return cols.reshape(c * kf * kt, b, of * ot)
 
 
 def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
-    """2-D cross-correlation of x[B,C,F,T] with w[O,C,kF,kT]; no bias."""
+    """2-D cross-correlation of x[B,C,F,T] with w[O,C,kF,kT]; no bias. An
+    input with requires_grad False gets no input gradient.
+
+    BLAS picks its kernel, and so its rounding, by operand shape and memory
+    layout. Each product reads its operands as a batch-major
+    [B, C*kF*kT, oF*oT] im2col gives them (the dX GEMM runs all items at
+    once) and dX adds the taps in (i, j) order, so the bits do not depend
+    on the layouts used here."""
     sf, st = _pair(stride)
     pf, pt = _pair(pad)
     if x.value.ndim != 4 or w.value.ndim != 4:
@@ -64,47 +73,79 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
         raise ShapeError(f"conv2d kernel {w.shape} larger than padded input {x.shape}")
     of = (f + 2 * pf - kf) // sf + 1
     ot = (t + 2 * pt - kt) // st + 1
+    n = b * of * ot
     xp = np.pad(x.value, ((0, 0), (0, 0), (pf, pf), (pt, pt)))
     cols = _im2col(xp, kf, kt, sf, st, of, ot)
     w2 = w.value.reshape(o, c * kf * kt)
-    out_val = np.matmul(w2, cols).reshape(b, o, of, ot)
+    # With a GEMM dimension of 1, matmul takes vector paths (dot, gemv) whose
+    # rounding depends on strides and lengths: those shapes keep every
+    # product in batch-major layout.
+    vector_path = 1 in (o, c * kf * kt, of * ot)
+    items = cols.transpose(1, 0, 2)
+    if vector_path:
+        items = np.ascontiguousarray(items)
+    out_val = np.matmul(w2, items).reshape(b, o, of, ot)
     out = Tensor(out_val, (x, w))
 
     def backward(g):
-        g2 = g.reshape(b, o, of * ot)
-        w._accumulate(np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(w.shape))
-        dcols = np.matmul(w2.T, g2)
-        dpatches = dcols.reshape(b, c, kf, kt, of, ot)
-        dxp = np.zeros_like(xp)
+        # the rows np.tensordot makes of batch-major columns: a C-ordered
+        # copy, but an F-ordered view for one item
+        rows = cols.reshape(-1, n).T
+        if b > 1:
+            rows = np.ascontiguousarray(rows)
+        w._accumulate(np.dot(g.transpose(1, 0, 2, 3).reshape(o, n), rows).reshape(w.shape))
+        if not x.requires_grad:
+            return
+        # batch-last, so each tap's scatter-add runs over B*oT elements at once
+        if vector_path:
+            dcols = np.matmul(w2.T, g.reshape(b, o, of * ot)).transpose(1, 2, 0)
+        else:
+            dcols = w2.T @ g.transpose(1, 2, 3, 0).reshape(o, n)
+        dcols = dcols.reshape(c, kf, kt, of, ot, b)
+        dxp = np.zeros((c, f + 2 * pf, t + 2 * pt, b), dtype=xp.dtype)
         for i in range(kf):
             for j in range(kt):
-                dxp[:, :, i : i + sf * of : sf, j : j + st * ot : st] += dpatches[:, :, i, j]
-        x._accumulate(dxp[:, :, pf : pf + f, pt : pt + t])
+                dxp[:, i : i + sf * of : sf, j : j + st * ot : st] += dcols[:, i, j]
+        # one transposing copy, into a C-ordered gradient
+        x._accumulate(dxp[:, pf : pf + f, pt : pt + t].transpose(3, 0, 1, 2))
 
     out._backward = backward
     return out
 
 
+# The four taps of a 2x2 window, in the order argmax would scan them.
+_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def maxpool2x2(x: Tensor) -> Tensor:
-    """2x2 max pool, stride 2, ceil mode (partial edge windows allowed)."""
+    """2x2 max pool, stride 2, ceil mode (partial edge windows allowed).
+
+    The backward sends each gradient to the first tap, in `_TAPS` order,
+    that equals the window's maximum, as argmax over the window would.
+    Input is assumed NaN-free; a window whose maximum is a zero may give
+    either sign of zero."""
     b, c, f, t = x.shape
     of, ot = (f + 1) // 2, (t + 1) // 2
     pad_f, pad_t = 2 * of - f, 2 * ot - t
     xp = np.pad(x.value, ((0, 0), (0, 0), (0, pad_f), (0, pad_t)), constant_values=-np.inf)
-    windows = (
-        xp.reshape(b, c, of, 2, ot, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, of, ot, 4)
-    )
-    arg = windows.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0], (x,))
+    taps = [xp[:, :, i::2, j::2] for i, j in _TAPS]
+    out_val = np.maximum(np.maximum(taps[0], taps[1]), np.maximum(taps[2], taps[3]))
+    out = Tensor(out_val, (x,))
 
     def backward(g):
-        dwin = np.zeros_like(windows)
-        np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
-        dxp = (
-            dwin.reshape(b, c, of, ot, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, 2 * of, 2 * ot)
-        )
+        # Routing multiplies bit patterns by 0 or 1: a routed gradient keeps
+        # its exact bits (a -0.0 too) and every other element becomes +0.0.
+        bits = np.dtype(f"u{g.itemsize}")
+        g_bits = g.view(bits)
+        dxp = np.empty_like(xp)
+        dxp_bits = dxp.view(bits)
+        free = np.ones(g.shape, dtype=bool)
+        for (i, j), tap in zip(_TAPS[:-1], taps):
+            hit = tap == out_val
+            hit &= free
+            free ^= hit
+            np.multiply(g_bits, hit, out=dxp_bits[:, :, i::2, j::2])
+        np.multiply(g_bits, free, out=dxp_bits[:, :, 1::2, 1::2])
         x._accumulate(dxp[:, :, :f, :t])
 
     out._backward = backward

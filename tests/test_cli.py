@@ -203,6 +203,13 @@ class TestErrorHandling:
         assert record["error"] == "ValidationError"
         assert key in record["message"]
 
+    def test_negative_corpus_seed(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"workdir": str(tmp_path / "run"), "corpus": {"seed": -1}}))
+        record = error_record(run(["synth"], bad))
+        assert record["error"] == "ValidationError"
+        assert "seed must be >= 0" in record["message"]
+
     def test_corrupt_model_header(self, config_file):
         run(["synth"], config_file)
         cfg = RunConfig.load(config_file)

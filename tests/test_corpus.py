@@ -217,12 +217,13 @@ class TestBlobFormat:
         raw = bytearray(path.read_bytes())
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
+        # the corrupted file's own CRC32 passes, so the magic check is what fails
         with pytest.raises(FormatError, match="magic"):
-            blobio.read_blob(path)
+            blobio.read_blob(path, crc32=zlib.crc32(raw))
 
     @pytest.mark.parametrize("key", ["rows", "cols", "crc32"])
     def test_record_fields_must_be_integers(self, tmp_path, key):
-        # a null CRC32 would otherwise read the blob unchecked
+        # a null field is a malformed record, not a value to compare
         rec = blobio.write_record(tmp_path, "m.awef", np.zeros((2, 3), dtype=np.float32))
         with pytest.raises(TypeError, match="must be integers"):
             blobio.read_record(tmp_path, {**rec, key: None})

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -274,6 +275,19 @@ class TestTrain:
         again, _ = train(TRAIN_CFG, bundle.train_instances)
         for n in params:
             np.testing.assert_array_equal(params[n], again[n])
+
+    def test_gradient_norm_and_clip_count(self, trained):
+        bundle = trained[0]
+        steps = math.ceil(len(bundle.train_instances) / TRAIN_CFG.batch_size)
+        epochs = {}
+        for clip in (0.0, 1e9, 1e-6):
+            cfg = dataclasses.replace(TRAIN_CFG, epochs=2, grad_clip_norm=clip)
+            epochs[clip] = train(cfg, bundle.train_instances)[1].epochs
+        assert [e.clipped_steps for e in epochs[0.0]] == [0, 0]
+        assert all(e.max_grad_norm > 0 for e in epochs[0.0])
+        assert epochs[1e9] == epochs[0.0]  # a clip that never fires changes nothing
+        assert [e.clipped_steps for e in epochs[1e-6]] == [steps, steps]
+        assert all(e.max_grad_norm > 1e-6 for e in epochs[1e-6])
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

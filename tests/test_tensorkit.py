@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from awekit import tensorkit as tk
+from awekit import model, tensorkit as tk
 from awekit.errors import ShapeError, ValidationError
+from awekit.features import FeatureSequence
 
 
 def conv2d_oracle(x, w, stride, pad):
@@ -23,6 +24,221 @@ def conv2d_oracle(x, w, stride, pad):
                     patch = xp[bi, :, i * sf : i * sf + kf, j * st_ : j * st_ + kt]
                     out[bi, oi, i, j] = (patch * w[oi]).sum()
     return out
+
+
+def conv2d_backward_oracle(x, w, stride, pad, g):
+    """(dW, dX) of sum(g * conv2d(x, w)) by loops over the output positions."""
+    b, c, f, t = x.shape
+    o, _, kf, kt = w.shape
+    sf, st_ = stride
+    pf, pt = pad
+    xp = np.pad(x, ((0, 0), (0, 0), (pf, pf), (pt, pt)))
+    dw, dxp = np.zeros_like(w), np.zeros_like(xp)
+    for bi in range(b):
+        for oi in range(o):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    rows, cols = slice(i * sf, i * sf + kf), slice(j * st_, j * st_ + kt)
+                    dw[oi] += g[bi, oi, i, j] * xp[bi, :, rows, cols]
+                    dxp[bi, :, rows, cols] += g[bi, oi, i, j] * w[oi]
+    return dw, dxp[:, :, pf : pf + f, pt : pt + t]
+
+
+# Reference kernels: the first versions of conv2d and maxpool2x2. The
+# kernels must give the same bits: the same GEMM operands and the same
+# summation order keep same-seed training byte-identical across rewrites.
+
+
+def im2col_reference(xp, kf, kt, sf, st_, of, ot):
+    b, c, _, _ = xp.shape
+    patches = np.empty((b, c, kf, kt, of, ot), dtype=xp.dtype)
+    for i in range(kf):
+        for j in range(kt):
+            patches[:, :, i, j] = xp[:, :, i : i + sf * of : sf, j : j + st_ * ot : st_]
+    return patches.reshape(b, c * kf * kt, of * ot)
+
+
+def conv2d_reference(x, w, stride, pad):
+    """(out, backward): one matmul per item on a batch-major im2col; the
+    backward returns (dW by tensordot, dX by a tap-by-tap scatter-add)."""
+    sf, st_ = stride
+    pf, pt = pad
+    b, c, f, t = x.shape
+    o, _, kf, kt = w.shape
+    of = (f + 2 * pf - kf) // sf + 1
+    ot = (t + 2 * pt - kt) // st_ + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pf, pf), (pt, pt)))
+    cols = im2col_reference(xp, kf, kt, sf, st_, of, ot)
+    w2 = w.reshape(o, c * kf * kt)
+
+    def backward(g):
+        g2 = g.reshape(b, o, of * ot)
+        dw = np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+        dpatches = np.matmul(w2.T, g2).reshape(b, c, kf, kt, of, ot)
+        dxp = np.zeros_like(xp)
+        for i in range(kf):
+            for j in range(kt):
+                dxp[:, :, i : i + sf * of : sf, j : j + st_ * ot : st_] += dpatches[:, :, i, j]
+        return dw, dxp[:, :, pf : pf + f, pt : pt + t]
+
+    return np.matmul(w2, cols).reshape(b, o, of, ot), backward
+
+
+def maxpool2x2_reference(x):
+    """(out, backward): argmax over each window's four taps, ceil mode; the
+    backward returns dX."""
+    b, c, f, t = x.shape
+    of, ot = (f + 1) // 2, (t + 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (0, 2 * of - f), (0, 2 * ot - t)), constant_values=-np.inf)
+    windows = (
+        xp.reshape(b, c, of, 2, ot, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, of, ot, 4)
+    )
+    arg = windows.argmax(axis=-1)
+
+    def backward(g):
+        dwin = np.zeros_like(windows)
+        np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
+        dxp = dwin.reshape(b, c, of, ot, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        return dxp.reshape(b, c, 2 * of, 2 * ot)[:, :, :f, :t]
+
+    return np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0], backward
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    bits = f"u{actual.itemsize}"
+    np.testing.assert_array_equal(actual.view(bits), expected.view(bits))
+
+
+def check_conv2d_bits(rng, x, w, stride, pad):
+    """conv2d's output, dW and dX have the reference's bits."""
+    out_ref, backward_ref = conv2d_reference(x, w, stride, pad)
+    g = rng.normal(size=out_ref.shape).astype(x.dtype)
+    xt, wt = tk.Tensor(x), tk.Tensor(w)
+    out = tk.conv2d(xt, wt, stride=stride, pad=pad)
+    out._backward(g)
+    dw_ref, dx_ref = backward_ref(g)
+    assert_same_bits(out.value, out_ref)
+    assert_same_bits(wt.grad, dw_ref)
+    assert_same_bits(xt.grad, dx_ref)
+
+
+def check_maxpool2x2_values_and_gradient(rng, x):
+    """maxpool2x2 gives the reference's values and routes the gradient to
+    the same elements with the same bits. The sign of a zero maximum is
+    not compared: np.maximum may return either of two equal zeros."""
+    out_ref, backward_ref = maxpool2x2_reference(x)
+    g = rng.normal(size=out_ref.shape).astype(x.dtype)
+    g.flat[::3] = -0.0
+    xt = tk.Tensor(x)
+    out = tk.maxpool2x2(xt)
+    out._backward(g)
+    np.testing.assert_array_equal(out.value, out_ref)
+    assert_same_bits(xt.grad, backward_ref(g))
+
+
+def model_layer_calls(t_frames):
+    """(op, input shape without the batch, conv2d's weight shape, stride and
+    pad) of each conv2d and maxpool2x2 call of the default network."""
+    cfg = model.ModelConfig()
+    calls = []
+    conv2d, maxpool2x2 = tk.conv2d, tk.maxpool2x2
+
+    def record_conv2d(x, w, stride, pad):
+        calls.append(("conv2d", x.shape[1:], w.shape, stride, pad))
+        return conv2d(x, w, stride, pad)
+
+    def record_maxpool2x2(x):
+        calls.append(("maxpool2x2", x.shape[1:]))
+        return maxpool2x2(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tk, "conv2d", record_conv2d)
+        mp.setattr(tk, "maxpool2x2", record_maxpool2x2)
+        seq = FeatureSequence(frames=np.zeros((t_frames, cfg.input_dim), dtype=np.float32))
+        model.forward(model.build_network(cfg), cfg, [seq])
+    return calls
+
+
+def relu_like(rng, shape):
+    """float32 activations with the +0.0 ties a ReLU leaves."""
+    return np.maximum(rng.normal(size=shape), 0.0).astype(np.float32)
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("t_frames", range(24, 42))
+    @pytest.mark.parametrize("batch", [48, 64])
+    def test_model_layers(self, batch, t_frames):
+        rng = np.random.default_rng(batch * 100 + t_frames)
+        calls = model_layer_calls(t_frames)
+        assert [call[0] for call in calls] == ["conv2d", "maxpool2x2"] + ["conv2d"] * 11
+        for op, shape, *conv_args in calls:
+            x = relu_like(rng, (batch, *shape))
+            if op == "maxpool2x2":
+                check_maxpool2x2_values_and_gradient(rng, x)
+            else:
+                w_shape, stride, pad = conv_args
+                check_conv2d_bits(rng, x, rng.normal(size=w_shape).astype(np.float32), stride, pad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_shapes(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+        kf, kt = (data.draw(st.sampled_from((1, 3, 7))) for _ in range(2))
+        pf, pt = (data.draw(st.integers(0, 3)) for _ in range(2))
+        # odd F and T, at least the kernel once padded
+        f = data.draw(st.integers(max(0, kf - 2 * pf) // 2, 7)) * 2 + 1
+        t = data.draw(st.integers(max(0, kt - 2 * pt) // 2, 7)) * 2 + 1
+        stride = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
+        b, c, o = (data.draw(st.integers(1, 5)) for _ in range(3))
+        x = relu_like(rng, (b, c, f, t))
+        w = rng.normal(size=(o, c, kf, kt)).astype(np.float32)
+        check_conv2d_bits(rng, x, w, stride, (pf, pt))
+
+    @pytest.mark.parametrize(
+        "x_shape,w_shape,stride,pad",
+        [
+            ((2, 4, 5, 1), (1, 4, 1, 1), (2, 1), (0, 0)),  # O = 1
+            ((3, 2, 1, 3), (1, 2, 1, 3), (2, 2), (0, 0)),  # O = 1, oF*oT = 1
+            ((4, 1, 1, 1), (4, 1, 3, 1), (2, 2), (1, 0)),  # oF*oT = 1
+            ((4, 1, 1, 1), (4, 1, 1, 1), (1, 1), (1, 1)),  # C*kF*kT = 1
+            ((3, 1, 2, 2), (3, 1, 1, 1), (2, 2), (0, 0)),  # C*kF*kT = 1, oF*oT = 1
+        ],
+    )
+    def test_gemm_dimension_of_one(self, x_shape, w_shape, stride, pad):
+        # matmul takes its vector paths here, whose rounding depends on strides
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            x = relu_like(rng, x_shape)
+            check_conv2d_bits(rng, x, rng.normal(size=w_shape).astype(np.float32), stride, pad)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_maxpool_ties(self, seed):
+        # windows with 2-4 equal maxima, -0.0/0.0 pairs, and partial edge
+        # windows (odd F and T) whose -inf padding ties an input -inf
+        rng = np.random.default_rng(seed)
+        values = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0], dtype=np.float32)
+        x = values[rng.integers(0, len(values), size=(3, 2, 7, 9))]
+        x[0, 0] = -0.0
+        x[0, 0, ::2, ::2] = 0.0
+        x[0, 1] = -np.inf
+        check_maxpool2x2_values_and_gradient(rng, x)
+
+    def test_input_without_grad(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(3, 1, 9, 11)).astype(np.float32)
+        w = tk.Tensor(rng.normal(size=(4, 1, 7, 7)).astype(np.float32))
+        g = rng.normal(size=(3, 4, 5, 6)).astype(np.float32)
+        w_grads = []
+        for requires_grad in (True, False):
+            xt = tk.Tensor(x, requires_grad=requires_grad)
+            w.zero_grad()
+            out = tk.conv2d(xt, w, stride=(2, 2), pad=(3, 3))
+            out._backward(g)
+            assert (xt.grad is None) != requires_grad
+            w_grads.append(w.grad)
+        assert_same_bits(w_grads[1], w_grads[0])
 
 
 class TestConv2d:
@@ -71,6 +287,27 @@ class TestConv2d:
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
             tk.conv2d(tk.Tensor(np.zeros((1, 1, 2, 2))), tk.Tensor(np.zeros((1, 1, 5, 5))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_backward_against_brute_force(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+        b, c, o = (data.draw(st.integers(1, 3)) for _ in range(3))
+        kf, kt = (data.draw(st.integers(1, 4)) for _ in range(2))
+        pad = (data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)))
+        f = data.draw(st.integers(max(1, kf - 2 * pad[0]), 9))
+        t = data.draw(st.integers(max(1, kt - 2 * pad[1]), 9))
+        stride = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
+        xv = rng.normal(size=(b, c, f, t))
+        wv = rng.normal(size=(o, c, kf, kt))
+        with tk.float64_mode():
+            x, w = tk.Tensor(xv), tk.Tensor(wv)
+            out = tk.conv2d(x, w, stride=stride, pad=pad)
+            g = rng.normal(size=out.shape)
+            out._backward(g)
+        dw, dx = conv2d_backward_oracle(xv, wv, stride, pad, g)
+        np.testing.assert_allclose(w.grad, dw, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(x.grad, dx, rtol=1e-10, atol=1e-12)
 
     def test_gradients_against_finite_differences(self):
         rng = np.random.default_rng(3)
