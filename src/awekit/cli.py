@@ -165,8 +165,8 @@ def embed(cfg: RunConfig):
     }
 
     utt_index = []
-    for utt_id, seq in bundle.utterances:
-        starts, embs = matcher.embed_windows(params, mcfg, seq, cfg.window)
+    windows = matcher.embed_windows(params, mcfg, [seq for _, seq in bundle.utterances], cfg.window)
+    for (utt_id, _), (starts, embs) in zip(bundle.utterances, windows):
         record = blobio.write_record(cfg.embeddings_dir, f"utt_{utt_id:05d}.awef", embs)
         utt_index.append({"utterance_id": utt_id, **record, "window_starts": starts.tolist()})
     codec.write_json(
@@ -194,10 +194,7 @@ def search(cfg: RunConfig, dump_traces):
             raise ValidationError("system 'awe' supports only fusion 'mean'")
         _require(cfg.model_path, "train")
         params, mcfg = model_mod.load_model(cfg.model_path)
-        queries = [
-            matcher.make_query(w, params, mcfg, cfg.window, feats)
-            for w, feats in templates.items()
-        ]
+        queries = matcher.make_query(params, mcfg, cfg.window, templates)
         rankings, traces = matcher.search(queries, bundle.utterances, params, mcfg, cfg.window)
     else:
         if cfg.fusion == "mean":
@@ -230,8 +227,10 @@ def search(cfg: RunConfig, dump_traces):
 
 def _read_results(path: Path, system: str) -> dict:
     """{keyword_id: [(rank, utterance_id, score), ...]} from a results file
-    whose header line names `system`."""
+    whose header line names `system` and that scores each (keyword,
+    utterance) pair once."""
     entries = {}
+    seen = set()
     with open(path) as f:
         for number, line in enumerate(f, start=1):
             try:
@@ -242,6 +241,11 @@ def _read_results(path: Path, system: str) -> dict:
                     keyword, rank, utterance = codec.ints(rec, "keyword_id", "rank", "utterance_id")
                     if type(rec["score"]) not in (int, float) or not np.isfinite(rec["score"]):
                         raise TypeError(f"score {rec['score']!r} is not a finite number")
+                    if (keyword, utterance) in seen:
+                        raise FormatError(
+                            f"{path} line {number} repeats keyword {keyword}, utterance {utterance}"
+                        )
+                    seen.add((keyword, utterance))
                     entries.setdefault(keyword, []).append((rank, utterance, rec["score"]))
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise FormatError(f"{path} line {number} is not a result record: {e!r}") from e

@@ -313,7 +313,11 @@ def load_manifest(directory) -> CorpusBundle:
             (*codec.ints(rec, "utterance_id"), FeatureSequence(read_record(directory, rec)))
             for rec in index["utterances"]
         )
-        utterance_ids = {uid for uid, _ in utterances}
+        ids = [uid for uid, _ in utterances]
+        utterance_ids = set(ids)
+        if len(utterance_ids) < len(ids):
+            repeated = sorted(uid for uid in utterance_ids if ids.count(uid) > 1)
+            raise IntegrityError(f"corrupt manifest {index_path}: repeated utterance ids {repeated}")
         return CorpusBundle(
             spec=spec,
             train_instances=tuple(map(instance, index["train"])),

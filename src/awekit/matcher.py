@@ -126,18 +126,29 @@ def embed_templates(params, cfg, window_cfg: WindowConfig, templates) -> np.ndar
     return embed_sequences(params, cfg, [pad_or_clip(t, w) for t in templates])
 
 
-def make_query(keyword_id, params, cfg, window_cfg: WindowConfig, templates) -> KeywordQuery:
-    """Embed keyword templates and fuse them by their mean."""
-    embs = embed_templates(params, cfg, window_cfg, templates)
-    return KeywordQuery(keyword_id=keyword_id, fused=fuse_templates_mean(embs))
+def make_query(params, cfg, window_cfg: WindowConfig, templates) -> list[KeywordQuery]:
+    """One query per keyword of `templates` ({keyword_id: [FeatureSequence]}),
+    in keyword order: every template is embedded in one call, and each
+    keyword's embeddings are fused by their mean."""
+    keywords = sorted(templates)
+    embs = embed_templates(params, cfg, window_cfg, [t for k in keywords for t in templates[k]])
+    parts = np.split(embs, np.cumsum([len(templates[k]) for k in keywords])[:-1])
+    return [
+        KeywordQuery(keyword_id=k, fused=fuse_templates_mean(part))
+        for k, part in zip(keywords, parts)
+    ]
 
 
-def embed_windows(params, cfg, seq: FeatureSequence, window_cfg: WindowConfig):
-    """Start frames [N] and embeddings [N, d] of an utterance's windows."""
-    segs = window_segments(seq, window_cfg)
-    starts = np.array([s for s, _ in segs])
-    embs = embed_sequences(params, cfg, [w for _, w in segs])
-    return starts, np.asarray(embs, dtype=np.float64)
+def embed_windows(params, cfg, seqs, window_cfg: WindowConfig):
+    """[(start frames [N], embeddings [N, d])] of each sequence's windows;
+    the windows of all sequences are embedded in one call."""
+    segs = [window_segments(seq, window_cfg) for seq in seqs]
+    embs = embed_sequences(params, cfg, [w for windows in segs for _, w in windows])
+    parts = np.split(embs, np.cumsum([len(windows) for windows in segs])[:-1])
+    return [
+        (np.array([start for start, _ in windows]), np.asarray(part, dtype=np.float64))
+        for windows, part in zip(segs, parts)
+    ]
 
 
 def search(queries, utterances, params, cfg, window_cfg: WindowConfig):
@@ -145,10 +156,9 @@ def search(queries, utterances, params, cfg, window_cfg: WindowConfig):
 
     Returns ({keyword_id: RankedList}, {(keyword_id, utterance_id): ScoreTrace}).
     """
-    # window embeddings are query-independent: compute once per utterance
-    utt_windows = {
-        utt_id: embed_windows(params, cfg, seq, window_cfg) for utt_id, seq in utterances
-    }
+    # window embeddings are query-independent: compute them once
+    windows = embed_windows(params, cfg, [seq for _, seq in utterances], window_cfg)
+    utt_windows = {utt_id: w for (utt_id, _), w in zip(utterances, windows)}
 
     rankings = {}
     traces = {}

@@ -216,12 +216,19 @@ def forward(params, cfg: ModelConfig, seqs: list[FeatureSequence]):
     return emb.value.copy(), logits.value.copy()
 
 
-def embed_sequences(params, cfg: ModelConfig, seqs, batch_size=128) -> np.ndarray:
-    """Embeddings for many sequences, batched by equal length for speed."""
-    out = np.empty((len(seqs), cfg.embedding_dim), dtype=tk.default_dtype())
-    order = sorted(range(len(seqs)), key=lambda i: seqs[i].num_frames)
-    for start in range(0, len(order), batch_size):
-        chunk = order[start : start + batch_size]
+def embed_sequences(params, cfg: ModelConfig, seqs, batch_size=16) -> np.ndarray:
+    """Embeddings for many sequences, batched by similar length for speed.
+
+    The items sorted by length go into ceil(n / batch_size) chunks whose
+    sizes differ by at most one, but never into a chunk of one item unless
+    n == 1 (so a batch_size under 3 gives chunks of 2 or 3): a batch of one
+    takes another rounding path in `gap_masked`, while a batch of two or
+    more gives each item of a given length the same bits."""
+    n = len(seqs)
+    out = np.empty((n, cfg.embedding_dim), dtype=tk.default_dtype())
+    order = np.argsort([s.num_frames for s in seqs], kind="stable")
+    chunks = max(1, min(-(-n // batch_size), n // 2))
+    for chunk in np.array_split(order, chunks) if n else ():
         emb, _ = forward(params, cfg, [seqs[i] for i in chunk])
         out[chunk] = emb
     return out

@@ -74,7 +74,11 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     of = (f + 2 * pf - kf) // sf + 1
     ot = (t + 2 * pt - kt) // st + 1
     n = b * of * ot
-    xp = np.pad(x.value, ((0, 0), (0, 0), (pf, pf), (pt, pt)))
+    if pf or pt:
+        xp = np.zeros((b, c, f + 2 * pf, t + 2 * pt), dtype=x.value.dtype)
+        xp[:, :, pf : pf + f, pt : pt + t] = x.value
+    else:
+        xp = x.value
     cols = _im2col(xp, kf, kt, sf, st, of, ot)
     w2 = w.value.reshape(o, c * kf * kt)
     # With a GEMM dimension of 1, matmul takes vector paths (dot, gemv) whose
@@ -123,11 +127,14 @@ def maxpool2x2(x: Tensor) -> Tensor:
     The backward sends each gradient to the first tap, in `_TAPS` order,
     that equals the window's maximum, as argmax over the window would.
     Input is assumed NaN-free; a window whose maximum is a zero may give
-    either sign of zero."""
+    either sign of zero. Only an odd size is padded, with -inf."""
     b, c, f, t = x.shape
     of, ot = (f + 1) // 2, (t + 1) // 2
-    pad_f, pad_t = 2 * of - f, 2 * ot - t
-    xp = np.pad(x.value, ((0, 0), (0, 0), (0, pad_f), (0, pad_t)), constant_values=-np.inf)
+    if f % 2 or t % 2:
+        xp = np.full((b, c, 2 * of, 2 * ot), -np.inf, dtype=x.value.dtype)
+        xp[:, :, :f, :t] = x.value
+    else:
+        xp = x.value
     taps = [xp[:, :, i::2, j::2] for i, j in _TAPS]
     out_val = np.maximum(np.maximum(taps[0], taps[1]), np.maximum(taps[2], taps[3]))
     out = Tensor(out_val, (x,))
@@ -153,11 +160,15 @@ def maxpool2x2(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.value > 0
-    out = Tensor(np.where(mask, x.value, 0.0), (x,))
+    """max(x, 0). Input is assumed NaN-free; the backward's mask is taken
+    from the output array, which the closure holds instead of the output
+    Tensor: holding the Tensor would make a reference cycle through its
+    own `_backward`."""
+    out_val = np.maximum(x.value, 0)
+    out = Tensor(out_val, (x,))
 
     def backward(g):
-        x._accumulate(g * mask)
+        x._accumulate(g * (out_val > 0))
 
     out._backward = backward
     return out

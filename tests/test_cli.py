@@ -246,6 +246,7 @@ class TestErrorHandling:
             ("ground_truth", "word_id", 99),
             ("ground_truth", "word_id", "x"),
             ("ground_truth", "utterance_id", 10**6),
+            ("utterances", None, None),
         ],
         ids=[
             "no-blob",
@@ -254,14 +255,19 @@ class TestErrorHandling:
             "gt-word_id-99",
             "gt-word_id-str",
             "gt-utterance_id-unknown",
+            "utterance_id-repeated",
         ],
     )
     def test_bad_manifest_record(self, config_file, section, key, value):
+        """A record with `key` deleted (value None) or set to `value`; with
+        no key, the first record appears twice."""
         run(["synth"], config_file)
         manifest = RunConfig.load(config_file).corpus_dir / "manifest.json"
         index = json.loads(manifest.read_text())
         rec = index[section][0]
-        if value is None:
+        if key is None:
+            index[section].append(rec)
+        elif value is None:
             del rec[key]
         else:
             rec[key] = value
@@ -270,19 +276,31 @@ class TestErrorHandling:
         assert record["error"] == "IntegrityError"
         assert "manifest.json" in record["message"]
 
-    @pytest.mark.parametrize("bad_rank", [False, True], ids=["truncated", "rank-str"])
-    def test_bad_results_line(self, config_file, bad_rank):
+    @pytest.mark.parametrize(
+        "case,fragment",
+        [
+            ("truncated", "is not a result record"),
+            ("rank-str", "is not a result record"),
+            ("duplicate", "repeats keyword"),
+        ],
+        ids=["truncated", "rank-str", "duplicate"],
+    )
+    def test_bad_results_line(self, config_file, case, fragment):
         sdtw = ["--system", "sdtw", "--fusion", "none"]
         run(["synth"], config_file)
         run([*sdtw, "search"], config_file)
         results = RunConfig.load(config_file).results_path
-        last = results.read_text().splitlines()[-1]
-        line = json.dumps(dict(json.loads(last), rank="x")) if bad_rank else last[: len(last) // 2]
+        lines = results.read_text().splitlines()
+        line = {
+            "truncated": lines[-1][: len(lines[-1]) // 2],
+            "rank-str": json.dumps(dict(json.loads(lines[-1]), rank="x")),
+            "duplicate": lines[1],
+        }[case]
         with open(results, "a") as f:
             f.write(line + "\n")
         record = error_record(run([*sdtw, "eval"], config_file))
         assert record["error"] == "FormatError"
-        assert "is not a result record" in record["message"]
+        assert fragment in record["message"]
 
     def test_results_of_another_system(self, config_file):
         for cmd in (["synth"], ["train"], ["search"]):

@@ -8,6 +8,8 @@ from awekit.features import FeatureSequence
 from awekit.matcher import (
     WindowConfig,
     cosine_cost,
+    embed_templates,
+    embed_windows,
     fuse_templates_mean,
     make_query,
     search,
@@ -153,7 +155,7 @@ class TestSearch:
         utt[8 : 8 + 12] = word
         template = FeatureSequence(frames=word)
         other = FeatureSequence(frames=rng.normal(size=(40, 4)).astype(np.float32))
-        q = make_query(0, params, cfg, self.WCFG, [template])
+        q = make_query(params, cfg, self.WCFG, {0: [template]})[0]
         rankings, traces = search(
             [q], [(0, FeatureSequence(frames=utt)), (1, other)], params, cfg, self.WCFG
         )
@@ -166,7 +168,7 @@ class TestSearch:
         rng = np.random.default_rng(5)
         content = FeatureSequence(frames=rng.normal(size=(30, 4)).astype(np.float32))
         clone = FeatureSequence(frames=content.frames.copy())
-        q = make_query(0, params, cfg, self.WCFG, [seq(10, d=4, rng=rng)])
+        q = make_query(params, cfg, self.WCFG, {0: [seq(10, d=4, rng=rng)]})[0]
         rankings, _ = search([q], [(3, content), (1, clone)], params, cfg, self.WCFG)
         entries = rankings[0].entries
         assert entries[0][1] == entries[1][1]
@@ -176,17 +178,36 @@ class TestSearch:
         params, cfg = tiny_model
         rng = np.random.default_rng(6)
         utts = [(u, seq(25, d=4, rng=rng)) for u in range(3)]
-        q = make_query(0, params, cfg, self.WCFG, [seq(10, d=4, rng=rng)])
+        q = make_query(params, cfg, self.WCFG, {0: [seq(10, d=4, rng=rng)]})[0]
         r1, _ = search([q], utts, params, cfg, self.WCFG)
         r2, _ = search([q], utts, params, cfg, self.WCFG)
         assert r1[0].entries == r2[0].entries
+
+    def test_one_call_per_stage_matches_separate_calls(self, tiny_model):
+        # all keywords' templates, and all utterances' windows, in one call
+        # each give what one call per keyword or utterance gives
+        params, cfg = tiny_model
+        rng = np.random.default_rng(8)
+        templates = {3: [seq(9, rng=rng), seq(14, rng=rng)], 1: [seq(12, rng=rng)] * 3}
+        queries = make_query(params, cfg, self.WCFG, templates)
+        assert [q.keyword_id for q in queries] == [1, 3]
+        for q in queries:
+            alone = fuse_templates_mean(embed_templates(params, cfg, self.WCFG, templates[q.keyword_id]))
+            np.testing.assert_allclose(q.fused, alone, atol=1e-6)
+        utts = [seq(t, rng=rng) for t in (25, 3, 40)]
+        together = embed_windows(params, cfg, utts, self.WCFG)
+        assert len(together) == len(utts)
+        for utt, (starts, embs) in zip(utts, together):
+            (alone_starts, alone_embs), = embed_windows(params, cfg, [utt], self.WCFG)
+            np.testing.assert_array_equal(starts, alone_starts)
+            np.testing.assert_allclose(embs, alone_embs, atol=1e-6)
 
     def test_appending_exact_match_never_worsens_score(self, tiny_model):
         params, cfg = tiny_model
         rng = np.random.default_rng(7)
         word = rng.normal(size=(12, 4)).astype(np.float32)
         template = FeatureSequence(frames=word)
-        q = make_query(0, params, cfg, self.WCFG, [template])
+        q = make_query(params, cfg, self.WCFG, {0: [template]})[0]
         base_frames = rng.normal(size=(24, 4)).astype(np.float32)
         w = self.WCFG.window_frames(0.01)
         planted = np.zeros((w, 4), dtype=np.float32)

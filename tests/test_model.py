@@ -1,12 +1,15 @@
 import dataclasses
+import gc
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_codec import json_trees
+from test_tensorkit import assert_same_bits
 
 from awekit import blobio, codec, tensorkit as tk
 from awekit.corpus import CorpusSpec, synth_corpus
@@ -22,6 +25,7 @@ from awekit.features import FeatureSequence
 from awekit.model import (
     ModelConfig,
     build_network,
+    embed_sequences,
     forward,
     load_model,
     save_model,
@@ -140,6 +144,42 @@ class TestForward:
             forward(params, TINY, seqs([5], d=4))
 
 
+class TestEmbedSequences:
+    def test_batch_split_invariant(self):
+        # items of one length, as windows and fitted templates are, embed to
+        # the same bits in every batch of two or more, in any order
+        cfg = ModelConfig(seed=3)
+        params = build_network(cfg)
+        items = seqs([80] * 65, d=cfg.input_dim, seed=5)
+        base = embed_sequences(params, cfg, items, batch_size=128)
+        for batch_size in (2, 3, 32):
+            assert_same_bits(embed_sequences(params, cfg, items, batch_size=batch_size), base)
+        perm = np.random.default_rng(0).permutation(len(items))
+        assert_same_bits(embed_sequences(params, cfg, [items[i] for i in perm]), base[perm])
+
+    @pytest.mark.parametrize("batch_size", [2, 3, 32, 128])
+    def test_balanced_chunks(self, monkeypatch, batch_size):
+        sizes = []
+
+        def record(params, cfg, chunk):
+            sizes.append(len(chunk))
+            return np.zeros((len(chunk), cfg.embedding_dim)), None
+
+        monkeypatch.setattr("awekit.model.forward", record)
+        items = seqs([3] * 300)
+        for n in range(1, len(items) + 1):
+            sizes.clear()
+            embed_sequences(None, TINY, items[:n], batch_size=batch_size)
+            assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= 2 or n == 1
+            # the fewest chunks of at most batch_size, or of 2 or 3 items
+            assert len(sizes) == max(1, min(math.ceil(n / batch_size), n // 2))
+            assert max(sizes) <= max(batch_size, 3)
+
+    def test_empty(self):
+        assert embed_sequences(build_network(TINY), TINY, []).shape == (0, TINY.embedding_dim)
+
+
 class TestTotalLoss:
     def test_hand_arithmetic(self):
         # build components whose values we can pin: use mse directly and
@@ -183,6 +223,38 @@ class TestTotalLoss:
         assert mse > 0
         np.testing.assert_allclose([ce_sum, mse_val], [ce, mse], rtol=1e-5)
         np.testing.assert_allclose(float(total.value), ce + 0.8 * mse, rtol=1e-5)
+
+
+def test_training_step_graph_is_freed_without_gc():
+    """One training step's graph is freed by reference counting alone. A
+    backward closure that held its own output Tensor would make a cycle and
+    keep the step's activations alive until the next collection."""
+    from awekit.model import _as_param_tensors, _batch_array, _forward_graph
+
+    params = build_network(TINY)
+
+    def step():
+        pt = _as_param_tensors(params)
+        batch, lens = _batch_array(seqs([9, 12, 7, 10], seed=4), TINY)
+        emb, logits = _forward_graph(pt, TINY, tk.Tensor(batch, requires_grad=False), lens)
+        loss, _, _ = total_loss(logits, emb, [0, 1, 0, 1], [0, 0, 0, 0], TINY.layout, 0.8)
+        loss.backward()
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._prev)
+        kept = {id(p) for p in params.values()}
+        return [weakref.ref(n.value) for n in nodes.values() if id(n.value) not in kept]
+
+    gc.disable()
+    try:
+        refs = step()
+        alive = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert len(refs) > 20 and alive == 0
 
 
 class TestGradients:

@@ -44,9 +44,10 @@ def conv2d_backward_oracle(x, w, stride, pad, g):
     return dw, dxp[:, :, pf : pf + f, pt : pt + t]
 
 
-# Reference kernels: the first versions of conv2d and maxpool2x2. The
-# kernels must give the same bits: the same GEMM operands and the same
-# summation order keep same-seed training byte-identical across rewrites.
+# Reference kernels: the first versions of conv2d, maxpool2x2 and relu,
+# which pad with np.pad and mask with np.where. The kernels must give the
+# same bits: the same GEMM operands and the same summation order keep
+# same-seed training byte-identical across rewrites.
 
 
 def im2col_reference(xp, kf, kt, sf, st_, of, ot):
@@ -104,6 +105,12 @@ def maxpool2x2_reference(x):
     return np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0], backward
 
 
+def relu_reference(x):
+    """(out, backward): np.where on the mask x > 0; the backward returns dX."""
+    mask = x > 0
+    return np.where(mask, x, 0.0), lambda g: g * mask
+
+
 def assert_same_bits(actual, expected):
     actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
     assert actual.shape == expected.shape and actual.dtype == expected.dtype
@@ -138,12 +145,24 @@ def check_maxpool2x2_values_and_gradient(rng, x):
     assert_same_bits(xt.grad, backward_ref(g))
 
 
+def check_relu_bits(rng, x):
+    """relu's output and dX have the reference's bits."""
+    out_ref, backward_ref = relu_reference(x)
+    g = rng.normal(size=x.shape).astype(x.dtype)
+    g.flat[::3] = -0.0
+    xt = tk.Tensor(x)
+    out = tk.relu(xt)
+    out._backward(g)
+    assert_same_bits(out.value, out_ref)
+    assert_same_bits(xt.grad, backward_ref(g))
+
+
 def model_layer_calls(t_frames):
     """(op, input shape without the batch, conv2d's weight shape, stride and
-    pad) of each conv2d and maxpool2x2 call of the default network."""
+    pad) of each conv2d, maxpool2x2 and relu call of the default network."""
     cfg = model.ModelConfig()
     calls = []
-    conv2d, maxpool2x2 = tk.conv2d, tk.maxpool2x2
+    conv2d, maxpool2x2, relu = tk.conv2d, tk.maxpool2x2, tk.relu
 
     def record_conv2d(x, w, stride, pad):
         calls.append(("conv2d", x.shape[1:], w.shape, stride, pad))
@@ -153,9 +172,14 @@ def model_layer_calls(t_frames):
         calls.append(("maxpool2x2", x.shape[1:]))
         return maxpool2x2(x)
 
+    def record_relu(x):
+        calls.append(("relu", x.shape[1:]))
+        return relu(x)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tk, "conv2d", record_conv2d)
         mp.setattr(tk, "maxpool2x2", record_maxpool2x2)
+        mp.setattr(tk, "relu", record_relu)
         seq = FeatureSequence(frames=np.zeros((t_frames, cfg.input_dim), dtype=np.float32))
         model.forward(model.build_network(cfg), cfg, [seq])
     return calls
@@ -166,19 +190,41 @@ def relu_like(rng, shape):
     return np.maximum(rng.normal(size=shape), 0.0).astype(np.float32)
 
 
+def conv_like(rng, shape):
+    """float32 pre-activations: a quarter of them +0.0, as a convolution
+    gives over zero frames."""
+    x = rng.normal(size=shape).astype(np.float32)
+    x.flat[::4] = 0.0
+    return x
+
+
+# Values that put both zeros, both infinities and ties into a kernel's input.
+SPECIAL = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf], dtype=np.float32)
+
+
+def special_like(rng, shape):
+    x = rng.normal(size=shape).astype(np.float32)
+    pick = rng.random(size=shape) < 0.5
+    x[pick] = SPECIAL[rng.integers(0, len(SPECIAL), size=int(pick.sum()))]
+    return x
+
+
 class TestKernelsMatchReference:
-    @pytest.mark.parametrize("t_frames", range(24, 42))
-    @pytest.mark.parametrize("batch", [48, 64])
+    @pytest.mark.parametrize("t_frames", [*range(24, 42), 80])
+    @pytest.mark.parametrize("batch", [2, 48, 64])
     def test_model_layers(self, batch, t_frames):
         rng = np.random.default_rng(batch * 100 + t_frames)
         calls = model_layer_calls(t_frames)
-        assert [call[0] for call in calls] == ["conv2d", "maxpool2x2"] + ["conv2d"] * 11
+        ops = [call[0] for call in calls]
+        assert (ops.count("conv2d"), ops.count("maxpool2x2"), ops.count("relu")) == (12, 1, 9)
         for op, shape, *conv_args in calls:
-            x = relu_like(rng, (batch, *shape))
             if op == "maxpool2x2":
-                check_maxpool2x2_values_and_gradient(rng, x)
+                check_maxpool2x2_values_and_gradient(rng, relu_like(rng, (batch, *shape)))
+            elif op == "relu":
+                check_relu_bits(rng, conv_like(rng, (batch, *shape)))
             else:
                 w_shape, stride, pad = conv_args
+                x = relu_like(rng, (batch, *shape))
                 check_conv2d_bits(rng, x, rng.normal(size=w_shape).astype(np.float32), stride, pad)
 
     @settings(max_examples=60, deadline=None)
@@ -187,14 +233,25 @@ class TestKernelsMatchReference:
         rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
         kf, kt = (data.draw(st.sampled_from((1, 3, 7))) for _ in range(2))
         pf, pt = (data.draw(st.integers(0, 3)) for _ in range(2))
-        # odd F and T, at least the kernel once padded
-        f = data.draw(st.integers(max(0, kf - 2 * pf) // 2, 7)) * 2 + 1
-        t = data.draw(st.integers(max(0, kt - 2 * pt) // 2, 7)) * 2 + 1
+        # even and odd F and T, at least the kernel once padded
+        f = data.draw(st.integers(max(1, kf - 2 * pf), 15))
+        t = data.draw(st.integers(max(1, kt - 2 * pt), 15))
         stride = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
         b, c, o = (data.draw(st.integers(1, 5)) for _ in range(3))
         x = relu_like(rng, (b, c, f, t))
+        x.flat[:: data.draw(st.integers(2, 5))] = -0.0
         w = rng.normal(size=(o, c, kf, kt)).astype(np.float32)
         check_conv2d_bits(rng, x, w, stride, (pf, pt))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_pool_and_relu_inputs(self, data):
+        # even and odd F and T; values with both zeros and infinities
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+        shape = tuple(data.draw(st.integers(1, n)) for n in (3, 3, 11, 11))
+        x = special_like(rng, shape)
+        check_maxpool2x2_values_and_gradient(rng, x)
+        check_relu_bits(rng, x)
 
     @pytest.mark.parametrize(
         "x_shape,w_shape,stride,pad",
