@@ -5,6 +5,7 @@ magic b"AWEF", version u32, rows u32, cols u32. A manifest record names a
 blob and holds its shape and the CRC32 of the whole file.
 """
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -31,9 +32,9 @@ def write_blob(path, matrix: np.ndarray) -> int:
 
 def read_blob(path, crc32: int) -> np.ndarray:
     """The matrix of a blob file, which must have the CRC32 `crc32`."""
-    path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as f:
+            raw = f.read()
     except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise FormatError(f"cannot read blob {path}: {e}") from e
     if zlib.crc32(raw) != crc32:
@@ -63,8 +64,9 @@ def write_record(directory, blob: str, matrix: np.ndarray) -> dict:
 
 def read_record(directory, rec: dict) -> np.ndarray:
     """The matrix a manifest record names, checked against its CRC32 and shape;
-    KeyError or TypeError when the record lacks a field or has one of the wrong type."""
-    path = Path(directory) / rec["blob"]
+    KeyError or TypeError when the record lacks a field or has one of the wrong type.
+    A caller reading many records of one directory passes it as a `str`."""
+    path = os.path.join(directory, rec["blob"])
     rows, cols, crc32 = codec.ints(rec, "rows", "cols", "crc32")
     matrix = read_blob(path, crc32=crc32)
     if matrix.shape != (rows, cols):

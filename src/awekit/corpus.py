@@ -4,8 +4,14 @@ Each word gets a prototype trajectory (smoothed Gaussian random walk); each
 speaker applies a per-dimension affine transform plus a global linear time
 warp. Search utterances concatenate silence and word blocks with exact
 ground-truth occurrence records.
+
+A saved corpus is a JSON manifest plus one AWEF blob per matrix.
+`load_manifest` checks every record of the manifest, and reads no blob: a
+blob is read and checked (CRC32, header, shape, finite frames) when a stage
+first uses that sequence's frames, then kept.
 """
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -232,12 +238,17 @@ def synth_corpus(spec: CorpusSpec) -> CorpusBundle:
 
 def validate_bundle(bundle: CorpusBundle) -> None:
     """Assert the bundle invariants; raises ValidationError on violation."""
+    _check_invariants(bundle, {uid: seq.num_frames for uid, seq in bundle.utterances})
+
+
+def _check_invariants(bundle: CorpusBundle, utt_len: dict[int, int]) -> None:
+    """The invariants of `validate_bundle`, with each utterance's frame
+    count given, so that a loaded bundle is checked without its blobs."""
     train_speakers = {i.speaker_id for i in bundle.train_instances}
     eval_speakers = {i.speaker_id for i in bundle.template_instances}
     overlap = train_speakers & eval_speakers
     if overlap:
         raise ValidationError(f"speakers {sorted(overlap)} appear in both splits")
-    utt_len = {uid: seq.num_frames for uid, seq in bundle.utterances}
     last_end: dict[int, int] = {}
     for occ in bundle.ground_truth:
         if occ.word_id not in range(bundle.spec.num_words):
@@ -284,6 +295,9 @@ def save_manifest(bundle: CorpusBundle, directory) -> None:
 
 
 def load_manifest(directory) -> CorpusBundle:
+    """The bundle a manifest describes. Every record is checked here against
+    the spec and `validate_bundle`'s invariants; a blob is read and checked
+    only when its sequence's frames are first used."""
     directory = Path(directory)
     index_path = directory / MANIFEST_NAME
     if not index_path.exists():
@@ -294,36 +308,46 @@ def load_manifest(directory) -> CorpusBundle:
         raise IntegrityError(f"corrupt manifest {index_path}: {e}") from e
     if not isinstance(index, dict) or index.get("version") != MANIFEST_VERSION:
         raise FormatError(f"{index_path} is not a version {MANIFEST_VERSION} manifest")
+    blob_dir = str(directory)
+
+    def sequence(rec):
+        if type(rec["blob"]) is not str:
+            raise TypeError(f"blob must be a string, got {rec['blob']!r}")
+        codec.ints(rec, "rows", "cols", "crc32")
+        return FeatureSequence(functools.partial(read_record, blob_dir, rec))
 
     def instance(rec):
         word, speaker, lang = codec.ints(rec, "word_id", "speaker_id", "language_id")
         if word not in range(spec.num_words) or lang != spec.word_language(word):
             raise IntegrityError(f"corrupt manifest {index_path}: bad word {word}/language {lang}")
-        return WordInstance(word, speaker, lang, FeatureSequence(read_record(directory, rec)))
+        return WordInstance(word, speaker, lang, sequence(rec))
 
     def occurrence(rec):
-        utt, word, _, _ = codec.ints(rec, "utterance_id", "word_id", "start_frame", "end_frame")
-        if word not in range(spec.num_words) or utt not in utterance_ids:
-            raise IntegrityError(f"corrupt manifest {index_path}: bad utterance {utt}/word {word}")
+        codec.ints(rec, "utterance_id", "word_id", "start_frame", "end_frame")
         return Occurrence(**rec)
 
     try:
         spec = codec.load(CorpusSpec, index["spec"], "spec")
         utterances = tuple(
-            (*codec.ints(rec, "utterance_id"), FeatureSequence(read_record(directory, rec)))
-            for rec in index["utterances"]
+            (*codec.ints(rec, "utterance_id"), sequence(rec)) for rec in index["utterances"]
         )
         ids = [uid for uid, _ in utterances]
         utterance_ids = set(ids)
         if len(utterance_ids) < len(ids):
             repeated = sorted(uid for uid in utterance_ids if ids.count(uid) > 1)
             raise IntegrityError(f"corrupt manifest {index_path}: repeated utterance ids {repeated}")
-        return CorpusBundle(
+        bundle = CorpusBundle(
             spec=spec,
             train_instances=tuple(map(instance, index["train"])),
             template_instances=tuple(map(instance, index["templates"])),
             utterances=utterances,
             ground_truth=tuple(map(occurrence, index["ground_truth"])),
         )
+        utt_len = {uid: rec["rows"] for uid, rec in zip(ids, index["utterances"])}
     except (KeyError, TypeError) as e:
         raise IntegrityError(f"corrupt manifest {index_path}: bad record ({e!r})") from e
+    try:
+        _check_invariants(bundle, utt_len)
+    except ValidationError as e:
+        raise IntegrityError(f"corrupt manifest {index_path}: {e}") from e
+    return bundle

@@ -19,15 +19,24 @@ class DtwResult:
 
 def cost_matrix(a: FeatureSequence, b: FeatureSequence) -> np.ndarray:
     """Pairwise cosine distances between the frames of two sequences."""
-    if a.dim != b.dim:
-        raise ShapeError(f"feature dims differ: {a.dim} vs {b.dim}")
-    fa = a.frames.astype(np.float64)
-    fb = b.frames.astype(np.float64)
-    na = np.linalg.norm(fa, axis=1)
-    nb = np.linalg.norm(fb, axis=1)
-    za, zb = na == 0.0, nb == 0.0
-    fa = fa / np.where(za, 1.0, na)[:, None]
-    fb = fb / np.where(zb, 1.0, nb)[:, None]
+    return unit_costs(unit_frames(a), unit_frames(b))
+
+
+def unit_frames(seq: FeatureSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The frames as float64 rows of unit norm, and the mask of the frames
+    of zero norm (left as zero rows)."""
+    frames = seq.frames.astype(np.float64)
+    norms = np.linalg.norm(frames, axis=1)
+    zero = norms == 0.0
+    return frames / np.where(zero, 1.0, norms)[:, None], zero
+
+
+def unit_costs(a, b) -> np.ndarray:
+    """Cosine distances between the frames of two `unit_frames` results;
+    a frame of zero norm costs ZERO_NORM_COST against every frame."""
+    (fa, za), (fb, zb) = a, b
+    if fa.shape[1] != fb.shape[1]:
+        raise ShapeError(f"feature dims differ: {fa.shape[1]} vs {fb.shape[1]}")
     c = 1.0 - fa @ fb.T
     c[za, :] = ZERO_NORM_COST
     c[:, zb] = ZERO_NORM_COST
@@ -144,13 +153,18 @@ def sdtw_search(keyword_templates: dict, utterances, fusion: str = "none"):
     break by utterance id."""
     if fusion not in ("none", "dtw"):
         raise ValidationError(f"fusion must be 'none' or 'dtw', got {fusion!r}")
-    utterances = sorted(utterances, key=lambda u: u[0])
+    contents = [(u, unit_frames(seq)) for u, seq in sorted(utterances, key=lambda u: u[0])]
     rankings = {}
     for keyword_id, templates in keyword_templates.items():
         if not templates:
             raise ValidationError(f"keyword {keyword_id} has no templates")
-        probes = [fuse_templates_dtw(templates)] if fusion == "dtw" else list(templates)
-        scored = [(u, min(normalized_sdtw_cost(p, seq) for p in probes)) for u, seq in utterances]
+        probes = [fuse_templates_dtw(templates)] if fusion == "dtw" else templates
+        probes = [(p.num_frames, unit_frames(p)) for p in probes]
+        # per pair, the same operations as normalized_sdtw_cost
+        scored = [
+            (u, min(sdtw_from_costs(unit_costs(p, content)).cost / n for n, p in probes))
+            for u, content in contents
+        ]
         scored.sort(key=lambda e: (e[1], e[0]))
         rankings[keyword_id] = RankedList(keyword_id=keyword_id, entries=tuple(scored))
     return rankings

@@ -23,21 +23,41 @@ class Waveform:
             raise ValidationError("waveform is empty")
 
 
+def _checked_frames(frames) -> np.ndarray:
+    f = np.asarray(frames, dtype=np.float32)
+    if f.ndim != 2 or f.shape[0] < 1:
+        raise ValidationError(f"frames must be a non-empty T x D matrix, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValidationError("frames contain non-finite entries")
+    return f
+
+
+class _Frames:
+    """The `frames` field: a matrix, converted and checked when it is set,
+    or a zero-argument callable returning one, called, checked and cached
+    at the first access. A sequence stored on disk is then read only when
+    something uses its frames."""
+
+    def __get__(self, seq, owner=None):
+        if seq is None:
+            raise AttributeError("frames")  # the field has no default
+        frames = seq.__dict__["_frames"]
+        if callable(frames):
+            frames = seq.__dict__["_frames"] = _checked_frames(frames())
+        return frames
+
+    def __set__(self, seq, frames):
+        seq.__dict__["_frames"] = frames if callable(frames) else _checked_frames(frames)
+
+
 @dataclass(frozen=True)
 class FeatureSequence:
-    """T x D matrix of log filterbank energies plus frame timing metadata."""
+    """T x D matrix of log filterbank energies plus frame timing metadata.
+    `frames` may be given as a loader called at its first access."""
 
-    frames: np.ndarray
+    frames: np.ndarray = _Frames()
     frame_shift: float = DEFAULT_FRAME_SHIFT
     frame_length: float = DEFAULT_FRAME_LENGTH
-
-    def __post_init__(self):
-        f = np.asarray(self.frames, dtype=np.float32)
-        object.__setattr__(self, "frames", f)
-        if f.ndim != 2 or f.shape[0] < 1:
-            raise ValidationError(f"frames must be a non-empty T x D matrix, got shape {f.shape}")
-        if not np.isfinite(f).all():
-            raise ValidationError("frames contain non-finite entries")
 
     @property
     def num_frames(self) -> int:

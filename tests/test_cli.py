@@ -310,6 +310,50 @@ class TestErrorHandling:
         assert "'awe' results" in record["message"]
 
 
+class TestOnDemandReads:
+    """A stage reads only the corpus blobs it uses."""
+
+    def test_eval_reads_no_blob(self, config_file):
+        run(["synth"], config_file)
+        assert run([*SDTW, "search"], config_file).exit_code == 0
+        blobs = list(RunConfig.load(config_file).corpus_dir.glob("*.awef"))
+        assert blobs
+        for blob in blobs:
+            blob.unlink()
+        result = run([*SDTW, "eval"], config_file)
+        assert result.exit_code == 0, result.output + str(result.stderr_bytes)
+
+    def test_corrupt_train_blob_fails_only_train(self, config_file):
+        run(["synth"], config_file)
+        tamper(RunConfig.load(config_file).corpus_dir / "train_00003.awef")
+        record = error_record(run(["train"], config_file))
+        assert record["error"] == "IntegrityError"
+        assert "train_00003.awef" in record["message"]
+        for args in ([*SDTW, "search"], [*SDTW, "eval"]):
+            result = run(args, config_file)
+            assert result.exit_code == 0, result.output + str(result.stderr_bytes)
+
+    def test_search_reads_only_the_templates_it_uses(self, config_file):
+        run(["synth"], config_file)
+        corpus_dir = RunConfig.load(config_file).corpus_dir
+        index = json.loads((corpus_dir / "manifest.json").read_text())
+        first_word = [rec["blob"] for rec in index["templates"] if rec["word_id"] == 0]
+        one = [*SDTW, "--templates-per-keyword", "1", "search"]
+        tamper(corpus_dir / first_word[1])
+        result = run(one, config_file)
+        assert result.exit_code == 0, result.output + str(result.stderr_bytes)
+        tamper(corpus_dir / first_word[0])
+        record = error_record(run(one, config_file))
+        assert record["error"] == "IntegrityError"
+        assert first_word[0] in record["message"]
+
+
+def tamper(blob: Path):
+    raw = bytearray(blob.read_bytes())
+    raw[-1] ^= 0xFF
+    blob.write_bytes(bytes(raw))
+
+
 SDTW = ["--system", "sdtw", "--fusion", "none"]
 
 

@@ -145,8 +145,9 @@ class TestManifestRoundTrip:
         save_manifest(bundle, tmp_path)
         blob = sorted(tmp_path.glob("train_*.awef"))[0]
         blob.write_bytes(blob.read_bytes()[:-8])
+        loaded = load_manifest(tmp_path)  # blobs are read at first use
         with pytest.raises(IntegrityError, match=blob.name):
-            load_manifest(tmp_path)
+            loaded.train_instances[0].features.frames
 
     def test_tampered_blob_fails_checksum(self, tmp_path):
         bundle = synth_corpus(small_spec())
@@ -155,7 +156,57 @@ class TestManifestRoundTrip:
         raw = bytearray(blob.read_bytes())
         raw[-1] ^= 0xFF
         blob.write_bytes(bytes(raw))
+        loaded = load_manifest(tmp_path)  # blobs are read at first use
         with pytest.raises(IntegrityError, match="checksum"):
+            loaded.template_instances[0].features.frames
+
+    def test_load_reads_no_blob_and_each_blob_once(self, tmp_path, monkeypatch):
+        bundle = synth_corpus(small_spec())
+        save_manifest(bundle, tmp_path)
+        reads = []
+        read_blob = blobio.read_blob
+        monkeypatch.setattr(blobio, "read_blob", lambda path, crc32: reads.append(path) or read_blob(path, crc32))
+        loaded = load_manifest(tmp_path)
+        assert reads == []
+        seq = loaded.utterances[0][1]
+        assert seq.num_frames == bundle.utterances[0][1].num_frames
+        np.testing.assert_array_equal(seq.frames, bundle.utterances[0][1].frames)
+        assert len(reads) == 1 and reads[0].endswith("utt_00000.awef")
+        assert repr(seq) == repr(bundle.utterances[0][1])
+        assert dataclasses.replace(seq, frames=seq.frames[:1]).num_frames == 1
+        assert len(reads) == 1
+
+    def test_loaded_bundle_saves_byte_identical(self, tmp_path):
+        bundle = synth_corpus(small_spec())
+        save_manifest(bundle, tmp_path / "a")
+        save_manifest(load_manifest(tmp_path / "a"), tmp_path / "b")
+        for p1 in sorted((tmp_path / "a").iterdir()):
+            assert p1.read_bytes() == (tmp_path / "b" / p1.name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "section,key,value,fragment",
+        [
+            ("ground_truth", "end_frame", 1_000_000, "exceeds utterance"),
+            ("templates", "speaker_id", 0, "appear in both splits"),
+        ],
+        ids=["span-beyond-utterance", "training-speaker-template"],
+    )
+    def test_manifest_breaking_bundle_invariants(self, tmp_path, section, key, value, fragment):
+        spec = small_spec(num_search_utterances=2, instances_per_word_per_speaker=1)
+        save_manifest(synth_corpus(spec), tmp_path)
+        index = json.loads((tmp_path / "manifest.json").read_text())
+        index[section][0][key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(index))
+        with pytest.raises(IntegrityError, match=fragment):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("key,value", [("blob", 7), ("blob", None), ("rows", "2"), ("crc32", 1.5)])
+    def test_blob_record_fields_checked_at_load(self, tmp_path, key, value):
+        save_manifest(synth_corpus(small_spec()), tmp_path)
+        index = json.loads((tmp_path / "manifest.json").read_text())
+        index["train"][0][key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(index))
+        with pytest.raises(IntegrityError, match="bad record"):
             load_manifest(tmp_path)
 
     def test_save_is_deterministic(self, tmp_path):
@@ -195,7 +246,10 @@ def test_corrupt_manifest_raises_only_typed_errors(saved_corpus, section, data):
         holder[key] = data.draw(json_trees, label="value")
     (directory / "manifest.json").write_text(json.dumps(index))
     try:
-        load_manifest(directory)
+        bundle = load_manifest(directory)
+        sequences = [i.features for i in bundle.train_instances + bundle.template_instances]
+        for seq in sequences + [seq for _, seq in bundle.utterances]:
+            seq.frames  # blobs are read and checked at first use
     except AwekitError:
         pass
 

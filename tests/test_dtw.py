@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from awekit.corpus import CorpusSpec, load_manifest, save_manifest, synth_corpus
 from awekit.dtw import (
     cost_matrix,
     dtw,
@@ -332,3 +333,31 @@ class TestSdtwSearch:
         utts = [(1, seq(content)), (0, seq(content.copy()))]
         rankings = sdtw_search({0: [seq(rng.normal(size=(3, 2)))]}, utts)
         assert [u for u, _ in rankings[0].entries] == [0, 1]
+
+    @pytest.mark.parametrize("fusion", ["none", "dtw"])
+    def test_scores_bit_identical_to_per_pair_cost(self, tmp_path, fusion):
+        """Search normalises each sequence once; each score must still equal,
+        bit for bit, the per-pair cost on the same lazily read sequences."""
+        spec = CorpusSpec(
+            num_words_lang_a=2,
+            num_words_lang_b=2,
+            num_speakers=4,
+            instances_per_word_per_speaker=3,
+            feature_dim=8,
+            num_search_utterances=3,
+            seed=5,
+        )
+        save_manifest(synth_corpus(spec), tmp_path)
+        bundle = load_manifest(tmp_path)
+        templates = {}
+        for inst in bundle.template_instances:
+            templates.setdefault(inst.word_id, []).append(inst.features)
+        rankings = sdtw_search(templates, bundle.utterances, fusion=fusion)
+        fresh = load_manifest(tmp_path)  # nothing read yet
+        expected = {}
+        for inst in fresh.template_instances:
+            expected.setdefault(inst.word_id, []).append(inst.features)
+        for kw, tmpls in expected.items():
+            probes = [fuse_templates_dtw(tmpls)] if fusion == "dtw" else tmpls
+            want = {u: min(normalized_sdtw_cost(p, s) for p in probes) for u, s in fresh.utterances}
+            assert dict(rankings[kw].entries) == want
