@@ -1,5 +1,7 @@
-"""Command-line pipeline: synth -> train -> search -> eval, plus
-featurize (real-audio ingestion) and embed (embedding export)."""
+"""Command-line pipeline: synth -> train -> search -> eval, plus embed
+(embedding export). Each line of search's results.jsonl after the header
+holds system, keyword_id, utterance_id, score, rank, and the frames
+[start_frame, end_frame) of the best match in the utterance."""
 
 import dataclasses
 import json
@@ -13,7 +15,6 @@ from . import blobio, codec, corpus as corpus_mod, dtw as dtw_mod, matcher, metr
 from . import model as model_mod
 from .config import RunConfig
 from .errors import AwekitError, FormatError, MissingArtifactError, ValidationError
-from .features import fbank, read_wav
 
 
 def _fail(err: AwekitError):
@@ -102,26 +103,6 @@ def synth(cfg: RunConfig):
 
 
 @main.command()
-@click.argument("wav_dir", type=click.Path(exists=True, file_okay=False))
-@click.pass_obj
-def featurize(cfg: RunConfig, wav_dir):
-    """Extract filterbank features for every WAV file in a directory."""
-    wavs = sorted(Path(wav_dir).glob("*.wav"))
-    if not wavs:
-        raise ValidationError(f"no .wav files in {wav_dir}")
-    records = []
-    for wav_path in wavs:
-        frames = fbank(read_wav(wav_path), cfg.fbank).frames
-        record = blobio.write_record(cfg.features_dir, wav_path.stem + ".awef", frames)
-        records.append({"source": wav_path.name, **record})
-    codec.write_json(
-        cfg.features_dir / "features_manifest.json",
-        {"provenance": cfg.provenance(), "files": records},
-    )
-    click.echo(f"featurized {len(records)} files -> {cfg.features_dir}")
-
-
-@main.command()
 @click.pass_obj
 def train(cfg: RunConfig):
     """Train the embedding network on the corpus training split."""
@@ -181,54 +162,45 @@ def embed(cfg: RunConfig):
 
 
 @main.command()
-@click.option("--dump-traces", is_flag=True, help="Also write per-utterance score traces.")
 @click.pass_obj
-def search(cfg: RunConfig, dump_traces):
+def search(cfg: RunConfig):
     """Rank utterances per keyword with the selected system."""
     bundle = _load_bundle(cfg)
     templates = _templates_by_keyword(bundle, cfg.templates_per_keyword)
-    records = []
-    traces = None
     if cfg.system == "awe":
         if cfg.fusion != "mean":
             raise ValidationError("system 'awe' supports only fusion 'mean'")
         _require(cfg.model_path, "train")
         params, mcfg = model_mod.load_model(cfg.model_path)
         queries = matcher.make_query(params, mcfg, cfg.window, templates)
-        rankings, traces = matcher.search(queries, bundle.utterances, params, mcfg, cfg.window)
+        rankings = matcher.search(queries, bundle.utterances, params, mcfg, cfg.window)
     else:
         if cfg.fusion == "mean":
             raise ValidationError("system 'sdtw' supports fusion 'none' or 'dtw'")
         rankings = dtw_mod.sdtw_search(templates, bundle.utterances, fusion=cfg.fusion)
-    for keyword_id in sorted(rankings):
-        for rank, (utt_id, score) in enumerate(rankings[keyword_id].entries, start=1):
-            rec = {
-                "system": cfg.system,
-                "keyword_id": keyword_id,
-                "utterance_id": utt_id,
-                "score": score,
-                "rank": rank,
-            }
-            if traces is not None:
-                tr = traces[(keyword_id, utt_id)]
-                rec["best_window_start"] = int(tr.window_starts[int(np.argmin(tr.costs))])
-            records.append(rec)
+    records = [
+        {
+            "system": cfg.system,
+            "keyword_id": keyword_id,
+            "utterance_id": utt_id,
+            "score": score,
+            "rank": rank,
+            "start_frame": start,
+            "end_frame": end,
+        }
+        for keyword_id in sorted(rankings)
+        for rank, (utt_id, score, start, end) in enumerate(rankings[keyword_id].entries, start=1)
+    ]
     header = json.dumps({"provenance": cfg.provenance(), "system": cfg.system})
     lines = [header, *(json.dumps(rec, sort_keys=True) for rec in records)]
     codec.write_atomic(cfg.results_path, "".join(line + "\n" for line in lines))
-    if dump_traces and traces is not None:
-        for (keyword_id, utt_id), tr in traces.items():
-            blobio.write_blob(
-                cfg.traces_dir / f"kw{keyword_id:04d}_utt{utt_id:05d}.awef",
-                tr.costs[None, :],
-            )
     click.echo(f"{len(records)} result records -> {cfg.results_path}")
 
 
 def _read_results(path: Path, system: str) -> dict:
-    """{keyword_id: [(rank, utterance_id, score), ...]} from a results file
-    whose header line names `system` and that scores each (keyword,
-    utterance) pair once."""
+    """{keyword_id: [(rank, utterance_id, score, start_frame, end_frame), ...]}
+    from a results file whose header line names `system` and that scores
+    each (keyword, utterance) pair once."""
     entries = {}
     seen = set()
     with open(path) as f:
@@ -238,7 +210,9 @@ def _read_results(path: Path, system: str) -> dict:
                 if number == 1 and rec["system"] != system:
                     raise ValidationError(f"{path} holds {rec['system']!r} results, not {system!r}")
                 if number > 1:
-                    keyword, rank, utterance = codec.ints(rec, "keyword_id", "rank", "utterance_id")
+                    keyword, rank, utterance, start, end = codec.ints(
+                        rec, "keyword_id", "rank", "utterance_id", "start_frame", "end_frame"
+                    )
                     if type(rec["score"]) not in (int, float) or not np.isfinite(rec["score"]):
                         raise TypeError(f"score {rec['score']!r} is not a finite number")
                     if (keyword, utterance) in seen:
@@ -246,7 +220,7 @@ def _read_results(path: Path, system: str) -> dict:
                             f"{path} line {number} repeats keyword {keyword}, utterance {utterance}"
                         )
                     seen.add((keyword, utterance))
-                    entries.setdefault(keyword, []).append((rank, utterance, rec["score"]))
+                    entries.setdefault(keyword, []).append((rank, utterance, rec["score"], start, end))
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise FormatError(f"{path} line {number} is not a result record: {e!r}") from e
     return entries
@@ -264,9 +238,7 @@ def eval_cmd(cfg: RunConfig):
         if kw not in rel:
             continue  # keyword never occurs in the search content
         entries.sort()
-        rankings[kw] = matcher.RankedList(
-            keyword_id=kw, entries=tuple((u, s) for _, u, s in entries)
-        )
+        rankings[kw] = matcher.RankedList(keyword_id=kw, entries=tuple(e[1:] for e in entries))
     language = {w: bundle.spec.word_language(w) for w in range(bundle.spec.num_words)}
     report = metrics.evaluate(rankings, rel)
     codec.write_json(

@@ -11,7 +11,6 @@ writes artifact files.
 import dataclasses
 import json
 import os
-import types
 import typing
 from pathlib import Path
 
@@ -79,11 +78,6 @@ def _value(tp, value, at: str):
     if dataclasses.is_dataclass(tp):
         return load(tp, value, at)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (types.UnionType, typing.Union):  # only `X | None` is used
-        if value is None:
-            return None
-        (inner,) = [a for a in args if a is not type(None)]
-        return _value(inner, value, at)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ValidationError(f"{at} must be a list, got {_kind(value)}")

@@ -9,7 +9,6 @@ from pathlib import Path
 from . import __version__, codec
 from .corpus import CorpusSpec
 from .errors import ValidationError
-from .features import FbankConfig
 from .matcher import WindowConfig
 from .model import ModelConfig
 
@@ -21,7 +20,6 @@ VALID_FUSIONS = ("none", "mean", "dtw")
 class RunConfig:
     workdir: Path = Path("runs/default")
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
-    fbank: FbankConfig = field(default_factory=FbankConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     window: WindowConfig = field(default_factory=WindowConfig)
     system: str = "awe"
@@ -43,10 +41,6 @@ class RunConfig:
         return self.workdir / "corpus"
 
     @property
-    def features_dir(self) -> Path:
-        return self.workdir / "features"
-
-    @property
     def model_path(self) -> Path:
         return self.workdir / "models" / "model.awem"
 
@@ -61,10 +55,6 @@ class RunConfig:
     @property
     def results_path(self) -> Path:
         return self.workdir / "results" / "results.jsonl"
-
-    @property
-    def traces_dir(self) -> Path:
-        return self.workdir / "results" / "traces"
 
     @property
     def report_path(self) -> Path:

@@ -150,7 +150,8 @@ def sdtw_search(keyword_templates: dict, utterances, fusion: str = "none"):
 
     fusion="none" scores each utterance by the best template;
     fusion="dtw" first fuses all templates (main = first listed). Ties
-    break by utterance id."""
+    break by utterance id. An entry's span is the best probe's S-DTW
+    match span. Returns {keyword_id: RankedList}."""
     if fusion not in ("none", "dtw"):
         raise ValidationError(f"fusion must be 'none' or 'dtw', got {fusion!r}")
     contents = [(u, unit_frames(seq)) for u, seq in sorted(utterances, key=lambda u: u[0])]
@@ -160,11 +161,12 @@ def sdtw_search(keyword_templates: dict, utterances, fusion: str = "none"):
             raise ValidationError(f"keyword {keyword_id} has no templates")
         probes = [fuse_templates_dtw(templates)] if fusion == "dtw" else templates
         probes = [(p.num_frames, unit_frames(p)) for p in probes]
-        # per pair, the same operations as normalized_sdtw_cost
-        scored = [
-            (u, min(sdtw_from_costs(unit_costs(p, content)).cost / n for n, p in probes))
-            for u, content in contents
-        ]
+        scored = []
+        for u, content in contents:
+            # per pair, the same operations as normalized_sdtw_cost
+            results = ((sdtw_from_costs(unit_costs(p, content)), n) for n, p in probes)
+            best, n = min(results, key=lambda e: e[0].cost / e[1])
+            scored.append((u, best.cost / n, *best.span))
         scored.sort(key=lambda e: (e[1], e[0]))
         rankings[keyword_id] = RankedList(keyword_id=keyword_id, entries=tuple(scored))
     return rankings

@@ -1,8 +1,8 @@
 """Embedding-space keyword search: sliding-window segmentation, cosine
-cost traces, moving-average smoothing, mean template fusion, and ranked
-retrieval."""
+costs, moving-average smoothing, mean template fusion, and ranked
+retrieval with the span of each best match."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +36,6 @@ class WindowConfig:
 
 
 @dataclass(frozen=True)
-class ScoreTrace:
-    utterance_id: int
-    costs: np.ndarray  # one cost per window position, in [0, 2]
-    window_starts: np.ndarray
-    zero_norm_seen: bool = False
-
-
-@dataclass(frozen=True)
 class KeywordQuery:
     keyword_id: int
     fused: np.ndarray  # [d]
@@ -52,7 +44,9 @@ class KeywordQuery:
 @dataclass(frozen=True)
 class RankedList:
     keyword_id: int
-    entries: tuple[tuple[int, float], ...]  # (utterance_id, score), ascending cost
+    # (utterance_id, score, start_frame, end_frame), ascending cost; the
+    # best match lies in frames [start_frame, end_frame) of the utterance
+    entries: tuple[tuple[int, float, int, int], ...]
 
 
 def window_segments(seq: FeatureSequence, cfg: WindowConfig):
@@ -66,21 +60,14 @@ def window_segments(seq: FeatureSequence, cfg: WindowConfig):
     w = cfg.window_frames(seq.frame_shift)
     out = []
     for start in range(0, t, cfg.stride_frames):
-        window = FeatureSequence(
-            frames=seq.frames[start : start + w],
-            frame_shift=seq.frame_shift,
-            frame_length=seq.frame_length,
-        )
+        window = FeatureSequence(frames=seq.frames[start : start + w], frame_shift=seq.frame_shift)
         out.append((start, pad_or_clip(window, w)))
     return out
 
 
-def cosine_cost(x: np.ndarray, ys: np.ndarray):
-    """Cosine distance of x against each row of ys.
-
-    Returns (min_cost, argmin_index, trace, zero_norm_seen). Zero-norm
-    vectors get cost ZERO_NORM_COST with a warning flag instead of NaN.
-    """
+def cosine_cost(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Cosine distance of x against each row of ys; a pair with a
+    zero-norm vector costs ZERO_NORM_COST instead of NaN."""
     x = np.asarray(x, dtype=np.float64)
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
     if ys.shape[0] == 0:
@@ -91,10 +78,9 @@ def cosine_cost(x: np.ndarray, ys: np.ndarray):
     yn = np.linalg.norm(ys, axis=1)
     degenerate = (xn == 0.0) | (yn == 0.0)
     denom = np.where(degenerate, 1.0, xn * yn)
-    trace = 1.0 - (ys @ x) / denom
-    trace[degenerate] = ZERO_NORM_COST
-    best = int(np.argmin(trace))
-    return float(trace[best]), best, trace, bool(degenerate.any())
+    costs = 1.0 - (ys @ x) / denom
+    costs[degenerate] = ZERO_NORM_COST
+    return costs
 
 
 def sma(trace, k: int) -> np.ndarray:
@@ -152,29 +138,25 @@ def embed_windows(params, cfg, seqs, window_cfg: WindowConfig):
 
 
 def search(queries, utterances, params, cfg, window_cfg: WindowConfig):
-    """Rank utterances per keyword by minimum smoothed cosine cost.
-
-    Returns ({keyword_id: RankedList}, {(keyword_id, utterance_id): ScoreTrace}).
-    """
+    """Rank utterances per keyword by minimum smoothed cosine cost; the
+    span of an entry is the window at that minimum, clipped to the
+    utterance. Returns {keyword_id: RankedList}."""
     # window embeddings are query-independent: compute them once
     windows = embed_windows(params, cfg, [seq for _, seq in utterances], window_cfg)
-    utt_windows = {utt_id: w for (utt_id, _), w in zip(utterances, windows)}
+    utt_windows = {
+        utt_id: (seq.num_frames, window_cfg.window_frames(seq.frame_shift), *w)
+        for (utt_id, seq), w in zip(utterances, windows)
+    }
 
     rankings = {}
-    traces = {}
     for q in queries:
         scored = []
         for utt_id in sorted(utt_windows):
-            starts, embs = utt_windows[utt_id]
-            _, _, trace, degenerate = cosine_cost(q.fused, embs)
-            smoothed = sma(trace, window_cfg.sma_len)
-            traces[(q.keyword_id, utt_id)] = ScoreTrace(
-                utterance_id=utt_id,
-                costs=smoothed,
-                window_starts=starts,
-                zero_norm_seen=degenerate,
-            )
-            scored.append((utt_id, float(smoothed.min())))
+            num_frames, width, starts, embs = utt_windows[utt_id]
+            smoothed = sma(cosine_cost(q.fused, embs), window_cfg.sma_len)
+            best = int(np.argmin(smoothed))
+            start = int(starts[best])
+            scored.append((utt_id, float(smoothed[best]), start, min(start + width, num_frames)))
         scored.sort(key=lambda e: (e[1], e[0]))
         rankings[q.keyword_id] = RankedList(keyword_id=q.keyword_id, entries=tuple(scored))
-    return rankings, traces
+    return rankings

@@ -30,7 +30,7 @@ def average_precision(ranked: RankedList, relevant: set) -> float:
         raise ValidationError(f"keyword {ranked.keyword_id}: empty relevant set")
     hits = 0
     total = 0.0
-    for rank, (utt_id, _) in enumerate(ranked.entries, start=1):
+    for rank, (utt_id, *_) in enumerate(ranked.entries, start=1):
         if utt_id in relevant:
             hits += 1
             total += hits / rank
@@ -44,7 +44,7 @@ def precision_at_k(ranked: RankedList, relevant: set, k: int) -> float:
     (fixed-denominator convention)."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    hits = sum(1 for utt_id, _ in ranked.entries[:k] if utt_id in relevant)
+    hits = sum(1 for utt_id, *_ in ranked.entries[:k] if utt_id in relevant)
     return hits / k
 
 

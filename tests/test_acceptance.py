@@ -77,7 +77,7 @@ def templates_by_keyword(bundle, limit):
 def awe_map(run, n_templates):
     bundle = run["bundle"]
     queries = make_query(run["params"], run["cfg"], WINDOW, templates_by_keyword(bundle, n_templates))
-    rankings, _ = search(queries, bundle.utterances, run["params"], run["cfg"], WINDOW)
+    rankings = search(queries, bundle.utterances, run["params"], run["cfg"], WINDOW)
     rel = relevance_from_ground_truth(bundle.ground_truth)
     rankings = {k: v for k, v in rankings.items() if k in rel}
     return evaluate(rankings, rel).map
@@ -243,7 +243,7 @@ def test_criterion_4_noise_free_retrieval():
     utt = np.zeros((3 * w, 64), dtype=np.float32)
     utt[2 * wcfg.stride_frames : 2 * wcfg.stride_frames + 40] = word
     (q,) = make_query(params, cfg, wcfg, {0: [FeatureSequence(frames=word)]})
-    results, _ = search(
+    results = search(
         [q], [(0, FeatureSequence(frames=utt))], params, cfg, wcfg
     )
     score = results[0].entries[0][1]

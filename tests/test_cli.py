@@ -1,5 +1,4 @@
 import json
-import wave
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +66,17 @@ def pipeline_artifacts(config_path):
     return cfg
 
 
+def assert_spans_within_utterances(cfg):
+    """Every results line names a non-empty frame span of its utterance."""
+    manifest = json.loads((cfg.corpus_dir / "manifest.json").read_text())
+    rows = {rec["utterance_id"]: rec["rows"] for rec in manifest["utterances"]}
+    lines = cfg.results_path.read_text().splitlines()[1:]
+    assert lines
+    for line in lines:
+        rec = json.loads(line)
+        assert 0 <= rec["start_frame"] < rec["end_frame"] <= rows[rec["utterance_id"]], rec
+
+
 class TestPipeline:
     def test_end_to_end_awe(self, config_file):
         for cmd in (["synth"], ["train"], ["embed"], ["search"], ["eval"]):
@@ -75,6 +85,7 @@ class TestPipeline:
         cfg = pipeline_artifacts(config_file)
         assert cfg.model_path.exists()
         assert (cfg.embeddings_dir / "templates.awef").exists()
+        assert_spans_within_utterances(cfg)
         report = json.loads(cfg.report_path.read_text())
         assert 0.0 <= report["map"] <= 1.0
         assert "config_hash" in report["provenance"]
@@ -116,6 +127,7 @@ class TestPipeline:
         cfg = pipeline_artifacts(config_file)
         first = json.loads(cfg.results_path.read_text().splitlines()[0])
         assert first["system"] == "sdtw"
+        assert_spans_within_utterances(cfg)
 
     def test_rerun_is_byte_identical(self, config_file):
         run(["synth"], config_file)
@@ -131,14 +143,6 @@ class TestPipeline:
             p.name: p.read_bytes() for p in sorted(cfg.corpus_dir.iterdir())
         } == corpus_bytes
         assert cfg.results_path.read_bytes() == results_bytes
-
-    def test_dump_traces(self, config_file):
-        run(["synth"], config_file)
-        run(["train"], config_file)
-        result = run(["search", "--dump-traces"], config_file)
-        assert result.exit_code == 0
-        cfg = pipeline_artifacts(config_file)
-        assert list(cfg.traces_dir.glob("kw*_utt*.awef"))
 
 
 class TestErrorHandling:
@@ -176,7 +180,7 @@ class TestErrorHandling:
             ({"window": {"bogus": 1}}, "window.bogus"),
             ({"model": {"bogus": 1}}, "model.bogus"),
             ({"corpus": {"bogus": 1}}, "corpus.bogus"),
-            ({"fbank": {"bogus": 1}}, "fbank.bogus"),
+            ({"fbank": {"n_mels": 64}}, "'fbank'"),  # a section awekit no longer has
             ({"corpus": {"word_len_frames": 5}}, "corpus.word_len_frames"),
             ({"model": {"stage_channels": 5}}, "model.stage_channels"),
             ({"templates_per_keyword": "3"}, "templates_per_keyword"),
@@ -187,7 +191,7 @@ class TestErrorHandling:
             "window-bogus",
             "model-bogus",
             "corpus-bogus",
-            "fbank-bogus",
+            "fbank-removed",
             "word_len_frames-int",
             "stage_channels-int",
             "templates_per_keyword-str",
@@ -281,9 +285,10 @@ class TestErrorHandling:
         [
             ("truncated", "is not a result record"),
             ("rank-str", "is not a result record"),
+            ("no-span", "is not a result record"),
             ("duplicate", "repeats keyword"),
         ],
-        ids=["truncated", "rank-str", "duplicate"],
+        ids=["truncated", "rank-str", "no-span", "duplicate"],
     )
     def test_bad_results_line(self, config_file, case, fragment):
         sdtw = ["--system", "sdtw", "--fusion", "none"]
@@ -294,6 +299,7 @@ class TestErrorHandling:
         line = {
             "truncated": lines[-1][: len(lines[-1]) // 2],
             "rank-str": json.dumps(dict(json.loads(lines[-1]), rank="x")),
+            "no-span": json.dumps({k: v for k, v in json.loads(lines[-1]).items() if k != "end_frame"}),
             "duplicate": lines[1],
         }[case]
         with open(results, "a") as f:
@@ -385,38 +391,6 @@ def test_corrupt_results_raise_only_typed_errors(sdtw_results, data):
     result = run([*SDTW, "eval"], config_path)
     if result.exit_code:
         assert issubclass(getattr(errors, error_record(result)["error"]), errors.AwekitError)
-
-
-class TestFeaturize:
-    def write_wav(self, path, seconds=0.5, freq=440.0):
-        sr = 16000
-        t = np.arange(int(sr * seconds)) / sr
-        data = (0.4 * np.sin(2 * np.pi * freq * t) * 32767).astype("<i2")
-        with wave.open(str(path), "wb") as w:
-            w.setnchannels(1)
-            w.setsampwidth(2)
-            w.setframerate(sr)
-            w.writeframes(data.tobytes())
-
-    def test_featurize_directory(self, tmp_path):
-        wav_dir = tmp_path / "wavs"
-        wav_dir.mkdir()
-        self.write_wav(wav_dir / "a.wav")
-        self.write_wav(wav_dir / "b.wav", freq=880.0)
-        result = run(["--workdir", str(tmp_path / "run"), "featurize", str(wav_dir)])
-        assert result.exit_code == 0, result.output
-        manifest = json.loads(
-            (tmp_path / "run" / "features" / "features_manifest.json").read_text()
-        )
-        assert [r["source"] for r in manifest["files"]] == ["a.wav", "b.wav"]
-        assert all(r["cols"] == 64 for r in manifest["files"])
-        assert (tmp_path / "run" / "features" / "a.awef").exists()
-
-    def test_featurize_empty_dir(self, tmp_path):
-        empty = tmp_path / "none"
-        empty.mkdir()
-        result = run(["--workdir", str(tmp_path / "run"), "featurize", str(empty)])
-        assert result.exit_code == 2
 
 
 class TestFlagOverrides:

@@ -302,6 +302,7 @@ class TestSdtwSearch:
         entries = rankings[7].entries
         assert entries[0][0] == 0
         assert entries[0][1] == pytest.approx(0.0, abs=1e-9)
+        assert entries[0][2:] == (3, 7)  # the planted frames
 
     def test_single_template_fusion_equivalence(self):
         query, utts = self.build_corpus(np.random.default_rng(12))
@@ -324,7 +325,7 @@ class TestSdtwSearch:
                 )
                 oracle_scores.append((sdtw_oracle(costs) / len(query), u))
             oracle_order = [u for _, u in sorted(oracle_scores)]
-            got_order = [u for u, _ in rankings[0].entries]
+            got_order = [e[0] for e in rankings[0].entries]
             assert got_order == oracle_order
 
     def test_tie_break_by_utterance_id(self):
@@ -332,12 +333,13 @@ class TestSdtwSearch:
         content = rng.normal(size=(6, 2))
         utts = [(1, seq(content)), (0, seq(content.copy()))]
         rankings = sdtw_search({0: [seq(rng.normal(size=(3, 2)))]}, utts)
-        assert [u for u, _ in rankings[0].entries] == [0, 1]
+        assert [e[0] for e in rankings[0].entries] == [0, 1]
 
     @pytest.mark.parametrize("fusion", ["none", "dtw"])
     def test_scores_bit_identical_to_per_pair_cost(self, tmp_path, fusion):
         """Search normalises each sequence once; each score must still equal,
-        bit for bit, the per-pair cost on the same lazily read sequences."""
+        bit for bit, the per-pair cost on the same lazily read sequences, and
+        each span must be the best probe's S-DTW span."""
         spec = CorpusSpec(
             num_words_lang_a=2,
             num_words_lang_b=2,
@@ -359,5 +361,8 @@ class TestSdtwSearch:
             expected.setdefault(inst.word_id, []).append(inst.features)
         for kw, tmpls in expected.items():
             probes = [fuse_templates_dtw(tmpls)] if fusion == "dtw" else tmpls
-            want = {u: min(normalized_sdtw_cost(p, s) for p in probes) for u, s in fresh.utterances}
-            assert dict(rankings[kw].entries) == want
+            want = {}
+            for u, s in fresh.utterances:
+                best = min(probes, key=lambda p: normalized_sdtw_cost(p, s))
+                want[u] = (normalized_sdtw_cost(best, s), *sdtw(best, s).span)
+            assert {u: tuple(rest) for u, *rest in rankings[kw].entries} == want

@@ -1,132 +1,9 @@
-import struct
-import wave
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from awekit.errors import FormatError, TooShortError, ValidationError
-from awekit.features import (
-    FbankConfig,
-    FeatureSequence,
-    Waveform,
-    fbank,
-    mel_filterbank,
-    pad_or_clip,
-    read_wav,
-)
-
-
-def write_pcm16(path, samples, sample_rate=16000, channels=1):
-    data = (np.asarray(samples) * 32767).astype("<i2")
-    if channels == 2:
-        data = np.repeat(data, 2)
-    with wave.open(str(path), "wb") as w:
-        w.setnchannels(channels)
-        w.setsampwidth(2)
-        w.setframerate(sample_rate)
-        w.writeframes(data.tobytes())
-
-
-class TestReadWav:
-    def test_one_second_silence(self, tmp_path):
-        path = tmp_path / "sil.wav"
-        write_pcm16(path, np.zeros(16000))
-        w = read_wav(path)
-        assert w.sample_rate == 16000
-        assert len(w.samples) == 16000
-        assert (w.samples == 0).all()
-
-    def test_scaling(self, tmp_path):
-        path = tmp_path / "one.wav"
-        with wave.open(str(path), "wb") as f:
-            f.setnchannels(1)
-            f.setsampwidth(2)
-            f.setframerate(16000)
-            f.writeframes(np.array([16384, -16384], dtype="<i2").tobytes())
-        w = read_wav(path)
-        np.testing.assert_allclose(w.samples, [0.5, -0.5])
-
-    def test_stereo_rejected(self, tmp_path):
-        path = tmp_path / "stereo.wav"
-        write_pcm16(path, np.zeros(100), channels=2)
-        with pytest.raises(FormatError, match="channels=2"):
-            read_wav(path)
-
-    def test_truncated_data_chunk(self, tmp_path):
-        path = tmp_path / "trunc.wav"
-        write_pcm16(path, np.zeros(1000))
-        raw = path.read_bytes()
-        # shrink the payload but keep the header's frame count
-        path.write_bytes(raw[:-500])
-        with pytest.raises(FormatError):
-            read_wav(path)
-
-    def test_not_a_wav(self, tmp_path):
-        path = tmp_path / "bogus.wav"
-        path.write_bytes(b"not a riff file at all")
-        with pytest.raises(FormatError):
-            read_wav(path)
-
-
-class TestFbank:
-    def test_frame_count_formula(self):
-        w = Waveform(samples=np.random.default_rng(0).normal(0, 0.1, 16000), sample_rate=16000)
-        seq = fbank(w)
-        # N=16000, win=400, hop=160 -> 1 + (15600 // 160) = 98
-        assert seq.num_frames == 98
-        assert seq.dim == 64
-
-    def test_silence_hits_log_floor(self):
-        w = Waveform(samples=np.zeros(16000), sample_rate=16000)
-        seq = fbank(w)
-        np.testing.assert_allclose(seq.frames, np.log(1e-10), rtol=1e-6)
-
-    def test_tone_lands_in_its_mel_bin(self):
-        sr = 16000
-        cfg = FbankConfig()
-        n_fft = 512
-        _, centers = mel_filterbank(cfg.n_mels, n_fft, sr, cfg.fmin, sr / 2)
-        target_bin = 32
-        freq = centers[target_bin]
-        t = np.arange(sr) / sr
-        w = Waveform(samples=0.5 * np.sin(2 * np.pi * freq * t), sample_rate=sr)
-        seq = fbank(w, cfg)
-        assert int(np.argmax(seq.frames.mean(axis=0))) == target_bin
-
-    def test_scaling_shifts_log_energy(self):
-        rng = np.random.default_rng(1)
-        samples = rng.normal(0, 0.05, 8000)
-        w1 = Waveform(samples=samples, sample_rate=16000)
-        w2 = Waveform(samples=2.0 * samples, sample_rate=16000)
-        a, b = fbank(w1).frames, fbank(w2).frames
-        active = a > np.log(1e-10) + 1
-        np.testing.assert_allclose(
-            (b - a)[active], 2 * np.log(2.0), atol=1e-4
-        )
-
-    def test_too_short(self):
-        with pytest.raises(TooShortError):
-            fbank(Waveform(samples=np.zeros(100), sample_rate=16000))
-
-    def test_trailing_samples_below_hop_do_not_add_frames(self):
-        rng = np.random.default_rng(2)
-        # length on an exact frame boundary: win + 47 * hop
-        base = rng.normal(0, 0.1, 400 + 160 * 47)
-        extra = np.concatenate([base, rng.normal(0, 0.1, 159)])
-        a = fbank(Waveform(samples=base, sample_rate=16000))
-        b = fbank(Waveform(samples=extra, sample_rate=16000))
-        assert a.num_frames == b.num_frames
-        np.testing.assert_array_equal(a.frames, b.frames)
-
-    def test_output_finite(self):
-        rng = np.random.default_rng(3)
-        seq = fbank(Waveform(samples=rng.normal(0, 0.3, 4000), sample_rate=16000))
-        assert np.isfinite(seq.frames).all()
-
-    def test_bad_config(self):
-        with pytest.raises(ValidationError):
-            FbankConfig(n_mels=0)
+from awekit.errors import ValidationError
+from awekit.features import FeatureSequence, pad_or_clip
 
 
 class TestPadOrClip:

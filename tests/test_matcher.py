@@ -6,6 +6,7 @@ from awekit import model
 from awekit.errors import ShapeError, ValidationError
 from awekit.features import FeatureSequence
 from awekit.matcher import (
+    ZERO_NORM_COST,
     WindowConfig,
     cosine_cost,
     embed_templates,
@@ -60,24 +61,23 @@ class TestWindowSegments:
 
 class TestCosineCost:
     def test_identical_vector(self):
-        cost, idx, trace, warn = cosine_cost([1.0, 2.0], [[1.0, 2.0]])
+        (cost,) = cosine_cost([1.0, 2.0], [[1.0, 2.0]])
         assert cost == pytest.approx(0.0, abs=1e-12)
-        assert not warn
 
     def test_orthogonal_and_parallel(self):
-        cost, idx, trace, _ = cosine_cost([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(trace, [1.0, 0.0], atol=1e-12)
-        assert cost == 0.0 and idx == 1
+        costs = cosine_cost([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_allclose(costs, [1.0, 0.0], atol=1e-12)
+        assert costs[1] == 0.0
 
     def test_hand_value(self):
-        cost, _, _, _ = cosine_cost([1.0, 1.0], [[1.0, 0.0]])
+        (cost,) = cosine_cost([1.0, 1.0], [[1.0, 0.0]])
         assert cost == pytest.approx(1 - 1 / np.sqrt(2), abs=1e-9)
         assert cost == pytest.approx(0.29289, abs=1e-5)
 
     def test_zero_norm_flagged(self):
-        cost, _, trace, warn = cosine_cost([0.0, 0.0], [[1.0, 0.0]])
-        assert trace[0] == 1.0
-        assert warn
+        costs = cosine_cost([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(costs, [ZERO_NORM_COST, ZERO_NORM_COST])
+        assert cosine_cost([1.0, 0.0], [[0.0, 0.0], [1.0, 0.0]])[0] == ZERO_NORM_COST
 
     def test_empty_candidates(self):
         with pytest.raises(ValidationError):
@@ -156,12 +156,11 @@ class TestSearch:
         template = FeatureSequence(frames=word)
         other = FeatureSequence(frames=rng.normal(size=(40, 4)).astype(np.float32))
         q = make_query(params, cfg, self.WCFG, {0: [template]})[0]
-        rankings, traces = search(
-            [q], [(0, FeatureSequence(frames=utt)), (1, other)], params, cfg, self.WCFG
-        )
+        rankings = search([q], [(0, FeatureSequence(frames=utt)), (1, other)], params, cfg, self.WCFG)
         entries = rankings[0].entries
         assert entries[0][0] == 0
         assert entries[0][1] <= 1e-5
+        assert entries[0][2:] == (8, 28)  # the window at the planted word
 
     def test_identical_utterances_tie_broken_by_id(self, tiny_model):
         params, cfg = tiny_model
@@ -169,18 +168,18 @@ class TestSearch:
         content = FeatureSequence(frames=rng.normal(size=(30, 4)).astype(np.float32))
         clone = FeatureSequence(frames=content.frames.copy())
         q = make_query(params, cfg, self.WCFG, {0: [seq(10, d=4, rng=rng)]})[0]
-        rankings, _ = search([q], [(3, content), (1, clone)], params, cfg, self.WCFG)
+        rankings = search([q], [(3, content), (1, clone)], params, cfg, self.WCFG)
         entries = rankings[0].entries
-        assert entries[0][1] == entries[1][1]
-        assert [u for u, _ in entries] == [1, 3]
+        assert entries[0][1:] == entries[1][1:]
+        assert [e[0] for e in entries] == [1, 3]
 
     def test_deterministic(self, tiny_model):
         params, cfg = tiny_model
         rng = np.random.default_rng(6)
         utts = [(u, seq(25, d=4, rng=rng)) for u in range(3)]
         q = make_query(params, cfg, self.WCFG, {0: [seq(10, d=4, rng=rng)]})[0]
-        r1, _ = search([q], utts, params, cfg, self.WCFG)
-        r2, _ = search([q], utts, params, cfg, self.WCFG)
+        r1 = search([q], utts, params, cfg, self.WCFG)
+        r2 = search([q], utts, params, cfg, self.WCFG)
         assert r1[0].entries == r2[0].entries
 
     def test_one_call_per_stage_matches_separate_calls(self, tiny_model):
@@ -213,6 +212,6 @@ class TestSearch:
         planted = np.zeros((w, 4), dtype=np.float32)
         planted[:12] = word
         extended = np.concatenate([base_frames, planted])
-        r_base, _ = search([q], [(0, FeatureSequence(frames=base_frames))], params, cfg, self.WCFG)
-        r_ext, _ = search([q], [(0, FeatureSequence(frames=extended))], params, cfg, self.WCFG)
+        r_base = search([q], [(0, FeatureSequence(frames=base_frames))], params, cfg, self.WCFG)
+        r_ext = search([q], [(0, FeatureSequence(frames=extended))], params, cfg, self.WCFG)
         assert r_ext[0].entries[0][1] <= r_base[0].entries[0][1] + 1e-9
