@@ -13,7 +13,7 @@ import numpy as np
 
 from . import blobio, codec, corpus as corpus_mod, dtw as dtw_mod, matcher, metrics
 from . import model as model_mod
-from .config import RunConfig
+from .config import VALID_FUSIONS, VALID_SYSTEMS, RunConfig
 from .errors import AwekitError, FormatError, MissingArtifactError, ValidationError
 
 
@@ -55,24 +55,27 @@ def _model_cfg_for(cfg: RunConfig, spec) -> model_mod.ModelConfig:
 
 
 class _Pipeline(click.Group):
-    """Reports an AwekitError from the group or any stage through `_fail`."""
+    """Reports an AwekitError from the group or any stage through `_fail`,
+    and an OSError as a FormatError that names its path."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except AwekitError as e:
             _fail(e)
+        except OSError as e:
+            _fail(FormatError(str(e)))
 
 
 @click.group(cls=_Pipeline)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--workdir", type=click.Path(), default=None, help="Override workdir.")
 @click.option("--seed", type=int, default=None, help="Override corpus and model seeds.")
-@click.option("--system", type=click.Choice(["awe", "sdtw"]), default=None)
-@click.option("--fusion", type=click.Choice(["none", "mean", "dtw"]), default=None)
+@click.option("--system", type=click.Choice(VALID_SYSTEMS), default=None)
+@click.option("--fusion", type=click.Choice(VALID_FUSIONS), default=None)
 @click.option("--templates-per-keyword", type=int, default=None)
 @click.option("--alpha", type=float, default=None, help="Variability-invariant loss weight.")
-@click.option("--softmax", type=click.Choice(["one", "block"]), default=None)
+@click.option("--softmax", type=click.Choice(model_mod.SOFTMAX_MODES), default=None)
 @click.pass_context
 def main(ctx, config_path, workdir, seed, system, fusion, templates_per_keyword, alpha, softmax):
     """Query-by-example spoken term detection pipeline."""

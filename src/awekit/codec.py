@@ -1,16 +1,17 @@
 """JSON <-> dataclass codec for configs and reports, and the JSON artifact writer.
 
 `dump` is `dataclasses.asdict` with paths as strings. `load` builds a
-dataclass from parsed JSON and rejects unknown keys, wrong types and
-non-object sections with a ValidationError naming the dotted key; range
-checks stay in each class's `__post_init__`. `write_json` writes every
-JSON artifact in one layout, and `write_atomic` is the one routine that
-writes artifact files.
+dataclass from parsed JSON and rejects unknown keys, wrong types, non-finite
+floats and non-object sections with a ValidationError naming the dotted key;
+range checks stay in each class's `__post_init__`. `write_json` writes
+every JSON artifact in one layout, and `write_atomic` is the one routine
+that writes artifact files.
 """
 
 import dataclasses
 import json
 import os
+import sys
 import typing
 from pathlib import Path
 
@@ -86,12 +87,12 @@ def _value(tp, value, at: str):
         elif len(value) != len(args):
             raise ValidationError(f"{at} must have {len(args)} items, got {len(value)}")
         return tuple(_value(a, v, f"{at}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    if tp is bool:
-        ok = isinstance(value, bool)
-    elif tp is int:
+    if tp is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif tp is float:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if ok and not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond float range
+            raise ValidationError(f"{at} must be a finite number")
     elif tp in (str, Path):
         ok = isinstance(value, str)
     else:

@@ -64,7 +64,7 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         try:
             data = json.loads(Path(path).read_text())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except ValueError as e:  # not UTF-8, not JSON, or an int of over 4300 digits
             raise ValidationError(f"config {path} is not valid JSON: {e}") from e
         return codec.load(cls, data)
 

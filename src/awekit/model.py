@@ -21,39 +21,38 @@ from .features import FeatureSequence
 
 log = logging.getLogger(__name__)
 
+SOFTMAX_MODES = ("one", "block")
+
+# Nesterov SGD from LR0: after LR_PATIENCE epochs in a row whose mean loss is not
+# 1e-6 below the best so far, the rate is multiplied by LR_FACTOR, down to MIN_LR.
+LR0 = 0.1
+MOMENTUM = 0.9
+LR_PATIENCE = 5
+LR_FACTOR = 0.5
+MIN_LR = 1e-4
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     input_dim: int = 64
     stage_channels: tuple[int, ...] = (8, 16, 32, 64)
-    stage_blocks: tuple[int, ...] = (1, 1, 1, 1)
-    stage_downsample: tuple[bool, ...] = (False, True, True, True)
     num_classes_per_language: tuple[int, ...] = (10, 10)
-    softmax_mode: str = "one"  # "one" | "block"
+    softmax_mode: str = "one"  # one of SOFTMAX_MODES
     alpha: float = 0.8
-    lr0: float = 0.1
-    momentum: float = 0.9
     epochs: int = 80
     batch_size: int = 32
-    lr_patience: int = 5
-    lr_factor: float = 0.5
-    min_lr: float = 1e-4
     grad_clip_norm: float = 1.0  # 0 disables clipping
     seed: int = 0
 
     def __post_init__(self):
-        if not (
-            len(self.stage_channels) == len(self.stage_blocks) == len(self.stage_downsample) == 4
-        ):
-            raise ValidationError("stage_channels/blocks/downsample must all have length 4")
-        if self.softmax_mode not in ("one", "block"):
-            raise ValidationError(f"softmax_mode must be 'one' or 'block', got {self.softmax_mode!r}")
-        if self.alpha < 0:
-            raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
+        if len(self.stage_channels) != 4:
+            raise ValidationError("stage_channels must have length 4")
+        if self.softmax_mode not in SOFTMAX_MODES:
+            raise ValidationError(f"softmax_mode {self.softmax_mode!r} is not in {SOFTMAX_MODES}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
-        if not 0 < self.lr_factor < 1:
-            raise ValidationError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         if not self.num_classes_per_language or min(self.num_classes_per_language) < 1:
             raise ValidationError("every language needs at least one class")
         if min(self.stage_channels) < 1 or self.seed < 0:
@@ -100,20 +99,17 @@ def _he_uniform(rng, shape, fan_in):
 
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter, in initialization order."""
+    """The shape of every parameter, in initialization order: conv1, then one
+    residual block per stage. The first stage keeps conv1's channels and
+    resolution; every later one strides by 2 and projects its skip path."""
     c0 = cfg.stage_channels[0]
     shapes = {"conv1.w": (c0, 1, 7, 7)}
-    in_ch = c0
-    for s, (out_ch, n_blocks) in enumerate(zip(cfg.stage_channels, cfg.stage_blocks)):
-        for b in range(n_blocks):
-            prefix = f"res{s + 1}.{b}"
-            stride_block = b == 0 and cfg.stage_downsample[s]
-            block_in = in_ch if b == 0 else out_ch
-            shapes[f"{prefix}.conv1.w"] = (out_ch, block_in, 3, 3)
-            shapes[f"{prefix}.conv2.w"] = (out_ch, out_ch, 3, 3)
-            if stride_block or block_in != out_ch:
-                shapes[f"{prefix}.proj.w"] = (out_ch, block_in, 1, 1)
-        in_ch = out_ch
+    for s, (in_ch, out_ch) in enumerate(zip((c0, *cfg.stage_channels), cfg.stage_channels)):
+        prefix = f"res{s + 1}.0"
+        shapes[f"{prefix}.conv1.w"] = (out_ch, in_ch, 3, 3)
+        shapes[f"{prefix}.conv2.w"] = (out_ch, out_ch, 3, 3)
+        if s > 0:
+            shapes[f"{prefix}.proj.w"] = (out_ch, in_ch, 1, 1)
     shapes["fc.w"] = (cfg.embedding_dim, cfg.num_classes)
     shapes["fc.b"] = (cfg.num_classes,)
     return shapes
@@ -167,21 +163,15 @@ def _forward_graph(pt: dict[str, tk.Tensor], cfg: ModelConfig, x: tk.Tensor, val
     h = tk.maxpool2x2(h)
     valid = -(-valid // 2)
     h = _mask_time(h, valid)
-    for s, n_blocks in enumerate(cfg.stage_blocks):
-        for b in range(n_blocks):
-            prefix = f"res{s + 1}.{b}"
-            stride = (2, 2) if (b == 0 and cfg.stage_downsample[s]) else (1, 1)
-            block_valid = -(-valid // 2) if stride != (1, 1) else valid
-            main = tk.relu(tk.conv2d(h, pt[f"{prefix}.conv1.w"], stride=stride, pad=(1, 1)))
-            main = _mask_time(main, block_valid)
-            main = tk.conv2d(main, pt[f"{prefix}.conv2.w"], stride=(1, 1), pad=(1, 1))
-            if f"{prefix}.proj.w" in pt:
-                skip = tk.conv2d(h, pt[f"{prefix}.proj.w"], stride=stride, pad=(0, 0))
-            else:
-                skip = h
-            h = tk.relu(main + skip)
-            valid = block_valid
-            h = _mask_time(h, valid)
+    for s in range(len(cfg.stage_channels)):  # as laid out in `_param_shapes`
+        prefix = f"res{s + 1}.0"
+        stride = (2, 2) if s > 0 else (1, 1)
+        valid = -(-valid // stride[1])  # stride[1] is the time stride
+        main = tk.relu(tk.conv2d(h, pt[f"{prefix}.conv1.w"], stride=stride, pad=(1, 1)))
+        main = _mask_time(main, valid)
+        main = tk.conv2d(main, pt[f"{prefix}.conv2.w"], stride=(1, 1), pad=(1, 1))
+        skip = tk.conv2d(h, pt[f"{prefix}.proj.w"], stride=stride, pad=(0, 0)) if s > 0 else h
+        h = _mask_time(tk.relu(main + skip), valid)
     emb = tk.gap_masked(h, valid)
     logits = tk.linear(emb, pt["fc.w"], pt["fc.b"])
     return emb, logits
@@ -283,7 +273,7 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
     rng = np.random.default_rng(cfg.seed)
     params = build_network(cfg)
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
-    lr = cfg.lr0
+    lr = LR0
     best_loss = np.inf
     stale = 0
     report = TrainReport()
@@ -323,7 +313,7 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
                 scale = cfg.grad_clip_norm / norm
                 for g in grads.values():
                     g *= scale
-            tk.sgd_nesterov_step(params, grads, velocity, lr, cfg.momentum)
+            tk.sgd_nesterov_step(params, grads, velocity, lr, MOMENTUM)
             ep_total += float(loss.value)
             ep_ce += ce_val
             ep_mse += mse_val
@@ -347,8 +337,8 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
             stale = 0
         else:
             stale += 1
-            if stale >= cfg.lr_patience and lr > cfg.min_lr:
-                lr = max(cfg.min_lr, lr * cfg.lr_factor)
+            if stale >= LR_PATIENCE and lr > MIN_LR:
+                lr = max(MIN_LR, lr * LR_FACTOR)
                 stale = 0
     return params, report
 

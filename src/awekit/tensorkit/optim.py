@@ -6,7 +6,7 @@ from ..errors import ShapeError, ValidationError
 from .autograd import Tensor
 
 
-def sgd_nesterov_step(params, grads, velocity, lr, momentum=0.9):
+def sgd_nesterov_step(params, grads, velocity, lr, momentum):
     """One Nesterov-momentum SGD step over a dict of named arrays.
 
     Per parameter: v <- mu*v - lr*g, then theta <- theta + mu*v - lr*g

@@ -169,9 +169,10 @@ class TestErrorHandling:
 
     def test_invalid_config_json(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        result = run(["synth"], bad)
-        assert result.exit_code == 2
+        for text in ("{nope", '{"templates_per_keyword": 1' + "0" * 5000 + "}"):
+            bad.write_text(text)
+            record = error_record(run(["synth"], bad))
+            assert "is not valid JSON" in record["message"]
 
     @pytest.mark.parametrize(
         "config,key",
@@ -213,6 +214,41 @@ class TestErrorHandling:
         record = error_record(run(["synth"], bad))
         assert record["error"] == "ValidationError"
         assert "seed must be >= 0" in record["message"]
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "section,key",
+        [("window", "window_seconds"), ("model", "alpha"), ("corpus", "noise_sigma")],
+    )
+    def test_non_finite_config_value(self, tmp_path, section, key, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"workdir": str(tmp_path / "run"), section: {key: float(value)}}))
+        record = error_record(run(["synth"], bad))
+        assert record["error"] == "ValidationError"
+        assert f"{section}.{key}" in record["message"]
+
+    def test_non_finite_alpha_flag(self, tmp_path):
+        record = error_record(run(["--workdir", str(tmp_path / "run"), "--alpha", "nan", "synth"]))
+        assert record["error"] == "ValidationError"
+        assert "alpha" in record["message"]
+
+    @pytest.mark.parametrize("case", ["config-dir", "workdir-file", "results-dir"])
+    def test_os_error_is_a_format_error(self, config_file, tmp_path, case):
+        """A path that is a directory where a file belongs, or the reverse."""
+        if case == "config-dir":
+            path, result = tmp_path, run(["synth"], tmp_path)
+        elif case == "workdir-file":
+            path = tmp_path / "file"
+            path.write_text("")
+            result = run(["--workdir", str(path), "synth"])
+        else:
+            run(["synth"], config_file)
+            path = RunConfig.load(config_file).results_path
+            path.mkdir(parents=True)
+            result = run([*SDTW, "eval"], config_file)
+        record = error_record(result)
+        assert record["error"] == "FormatError"
+        assert str(path) in record["message"]
 
     def test_corrupt_model_header(self, config_file):
         run(["synth"], config_file)
@@ -403,6 +439,17 @@ class TestFlagOverrides:
         a = sorted((tmp_path / "a" / "corpus").glob("*.awef"))[0]
         b = (tmp_path / "b" / "corpus") / a.name
         assert a.read_bytes() != b.read_bytes()
+
+    def test_alpha_and_softmax_flags_reach_the_model(self, tmp_path):
+        model = dict(TINY_CONFIG["model"], softmax_mode="one")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, workdir=str(tmp_path / "run"), model=model)))
+        run(["synth"], path)
+        result = run(["--alpha", "0", "--softmax", "block", "train"], path)
+        assert result.exit_code == 0, result.output + str(result.stderr_bytes)
+        header = json.loads(RunConfig.load(path).model_path.with_suffix(".json").read_text())
+        assert header["config"]["alpha"] == 0.0
+        assert header["config"]["softmax_mode"] == "block"
 
     def test_config_hash_stable_and_flag_sensitive(self, config_file):
         base = RunConfig.load(config_file)

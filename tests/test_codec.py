@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import typing
 from pathlib import Path
@@ -34,8 +35,11 @@ def test_scalar_types():
         codec.load(ModelConfig, {"epochs": True})
     with pytest.raises(ValidationError, match="alpha"):
         codec.load(ModelConfig, {"alpha": None})
-    with pytest.raises(ValidationError, match=r"stage_downsample\[1\]"):
-        codec.load(ModelConfig, {"stage_downsample": [False, 1, True, True]})
+    with pytest.raises(ValidationError, match=r"stage_channels\[1\]"):
+        codec.load(ModelConfig, {"stage_channels": [2, True, 4, 5]})
+    for text in ("1e400", "1" + "0" * 400):  # JSON reads infinity, and an int no float holds
+        with pytest.raises(ValidationError, match="alpha must be a finite number"):
+            codec.load(ModelConfig, json.loads(f'{{"alpha": {text}}}'))
     with pytest.raises(ValidationError, match="word_len_frames must have 2 items"):
         codec.load(CorpusSpec, {"word_len_frames": [1, 2, 3]})
 
@@ -82,7 +86,7 @@ def near_typed(tp):
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:
         return st.lists(near_typed(args[0]), max_size=5) | json_trees
-    base = {bool: st.booleans(), int: st.integers(), float: st.floats(), str: words, Path: words}
+    base = {int: st.integers(), float: st.floats(), str: words, Path: words}
     return base[tp] | json_trees
 
 

@@ -23,6 +23,7 @@ from awekit.errors import (
 )
 from awekit.features import FeatureSequence
 from awekit.model import (
+    LR0,
     ModelConfig,
     build_network,
     embed_sequences,
@@ -61,8 +62,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
             dataclasses.replace(TINY, softmax_mode="two")
-        with pytest.raises(ValidationError):
-            dataclasses.replace(TINY, alpha=-1.0)
+        for alpha in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="alpha"):
+                dataclasses.replace(TINY, alpha=alpha)
         with pytest.raises(ValidationError, match="stage_channels must be >= 1"):
             dataclasses.replace(TINY, stage_channels=(2, 0, 4, 5))
         with pytest.raises(ValidationError, match="seed >= 0"):
@@ -91,6 +93,27 @@ class TestBuildNetwork:
     def test_no_conv_biases(self):
         params = build_network(TINY)
         assert [n for n in params if n.endswith(".b")] == ["fc.b"]
+
+    def test_default_tensor_table(self):
+        """Initialization draws and the per-layer benchmark names follow this table."""
+        table = [
+            ("conv1.w", (8, 1, 7, 7)),
+            ("res1.0.conv1.w", (8, 8, 3, 3)),
+            ("res1.0.conv2.w", (8, 8, 3, 3)),
+            ("res2.0.conv1.w", (16, 8, 3, 3)),
+            ("res2.0.conv2.w", (16, 16, 3, 3)),
+            ("res2.0.proj.w", (16, 8, 1, 1)),
+            ("res3.0.conv1.w", (32, 16, 3, 3)),
+            ("res3.0.conv2.w", (32, 32, 3, 3)),
+            ("res3.0.proj.w", (32, 16, 1, 1)),
+            ("res4.0.conv1.w", (64, 32, 3, 3)),
+            ("res4.0.conv2.w", (64, 64, 3, 3)),
+            ("res4.0.proj.w", (64, 32, 1, 1)),
+            ("fc.w", (64, 20)),
+            ("fc.b", (20,)),
+        ]
+        params = build_network(ModelConfig())
+        assert [(name, p.shape) for name, p in params.items()] == table
 
     def test_projections_only_on_shape_change(self):
         params = build_network(TINY)
@@ -339,7 +362,7 @@ class TestTrain:
     def test_lr_trace_starts_at_lr0_and_never_increases(self, trained):
         _, _, report = trained
         lrs = [e.lr for e in report.epochs]
-        assert lrs[0] == TRAIN_CFG.lr0
+        assert lrs[0] == LR0
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))
 
     def test_deterministic(self, trained):

@@ -546,7 +546,7 @@ class TestNesterov:
     def test_zero_gradient_fixed_point(self):
         p = {"w": np.array([1.0, 2.0])}
         v = {"w": np.zeros(2)}
-        tk.sgd_nesterov_step(p, {"w": np.zeros(2)}, v, lr=0.1)
+        tk.sgd_nesterov_step(p, {"w": np.zeros(2)}, v, lr=0.1, momentum=0.9)
         np.testing.assert_allclose(p["w"], [1.0, 2.0])
 
     def test_plain_sgd_step_on_quadratic(self):
