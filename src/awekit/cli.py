@@ -46,14 +46,6 @@ def _load_bundle(cfg: RunConfig):
     return corpus_mod.load_manifest(cfg.corpus_dir)
 
 
-def _model_cfg_for(cfg: RunConfig, spec) -> model_mod.ModelConfig:
-    return dataclasses.replace(
-        cfg.model,
-        input_dim=spec.feature_dim,
-        num_classes_per_language=(spec.num_words_lang_a, spec.num_words_lang_b),
-    )
-
-
 class _Pipeline(click.Group):
     """Reports an AwekitError from the group or any stage through `_fail`,
     and an OSError as a FormatError that names its path."""
@@ -68,7 +60,7 @@ class _Pipeline(click.Group):
 
 
 @click.group(cls=_Pipeline)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--workdir", type=click.Path(), default=None, help="Override workdir.")
 @click.option("--seed", type=int, default=None, help="Override corpus and model seeds.")
 @click.option("--system", type=click.Choice(VALID_SYSTEMS), default=None)
@@ -98,7 +90,6 @@ def synth(cfg: RunConfig):
     bundle = corpus_mod.synth_corpus(cfg.corpus)
     corpus_mod.validate_bundle(bundle)
     corpus_mod.save_manifest(bundle, cfg.corpus_dir)
-    codec.write_json(cfg.corpus_dir / "provenance.json", cfg.provenance())
     click.echo(
         f"corpus: {len(bundle.train_instances)} train / {len(bundle.template_instances)} "
         f"template instances, {len(bundle.utterances)} utterances -> {cfg.corpus_dir}"
@@ -110,7 +101,11 @@ def synth(cfg: RunConfig):
 def train(cfg: RunConfig):
     """Train the embedding network on the corpus training split."""
     bundle = _load_bundle(cfg)
-    mcfg = _model_cfg_for(cfg, bundle.spec)
+    mcfg = model_mod.ModelConfig(
+        **dataclasses.asdict(cfg.model),
+        input_dim=bundle.spec.feature_dim,
+        num_classes_per_language=(bundle.spec.num_words_lang_a, bundle.spec.num_words_lang_b),
+    )
     params, report = model_mod.train(mcfg, bundle.train_instances)
     model_mod.save_model(params, mcfg, cfg.model_path)
     codec.write_json(
@@ -206,13 +201,14 @@ def _read_results(path: Path, system: str) -> dict:
     each (keyword, utterance) pair once."""
     entries = {}
     seen = set()
-    with open(path) as f:
+    with open(path, "rb") as f:
         for number, line in enumerate(f, start=1):
+            where = f"{path} line {number} is not a result record"
+            rec = codec.read_json(line, FormatError, where)
             try:
-                rec = json.loads(line)
-                if number == 1 and rec["system"] != system:
-                    raise ValidationError(f"{path} holds {rec['system']!r} results, not {system!r}")
-                if number > 1:
+                if number == 1:
+                    found = rec["system"]
+                else:
                     keyword, rank, utterance, start, end = codec.ints(
                         rec, "keyword_id", "rank", "utterance_id", "start_frame", "end_frame"
                     )
@@ -224,8 +220,10 @@ def _read_results(path: Path, system: str) -> dict:
                         )
                     seen.add((keyword, utterance))
                     entries.setdefault(keyword, []).append((rank, utterance, rec["score"], start, end))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise FormatError(f"{path} line {number} is not a result record: {e!r}") from e
+            except (KeyError, TypeError) as e:
+                raise FormatError(f"{where}: {e!r}") from e
+            if number == 1 and found != system:
+                raise ValidationError(f"{path} holds {found!r} results, not {system!r}")
     return entries
 
 

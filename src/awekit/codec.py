@@ -1,11 +1,11 @@
-"""JSON <-> dataclass codec for configs and reports, and the JSON artifact writer.
+"""JSON <-> dataclass codec for configs and reports, and JSON artifact I/O.
 
 `dump` is `dataclasses.asdict` with paths as strings. `load` builds a
 dataclass from parsed JSON and rejects unknown keys, wrong types, non-finite
 floats and non-object sections with a ValidationError naming the dotted key;
-range checks stay in each class's `__post_init__`. `write_json` writes
-every JSON artifact in one layout, and `write_atomic` is the one routine
-that writes artifact files.
+range checks stay in each class's `__post_init__`. `read_json` parses every
+JSON input, `write_json` writes every JSON artifact in one layout, and
+`write_atomic` is the one routine that writes artifact files.
 """
 
 import dataclasses
@@ -46,6 +46,16 @@ def write_atomic(path, data: bytes | str) -> None:
 def write_json(path, payload) -> None:
     """Write `payload` with indent 1, sorted keys and a trailing newline."""
     write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
+def read_json(source, error_cls, where: str):
+    """The JSON value of a file (a Path) or of one line (str or bytes). Bytes that
+    `json.loads` cannot decode, or text that is not JSON, nests too deeply or holds
+    an int of over 4300 digits, raise `error_cls` with a message opening with `where`."""
+    try:
+        return json.loads(source.read_bytes() if isinstance(source, Path) else source)
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+        raise error_cls(f"{where}: {e!r}") from e
 
 
 def ints(record: dict, *keys) -> tuple[int, ...]:

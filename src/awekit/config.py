@@ -10,7 +10,7 @@ from . import __version__, codec
 from .corpus import CorpusSpec
 from .errors import ValidationError
 from .matcher import WindowConfig
-from .model import ModelConfig
+from .model import ModelSettings
 
 VALID_SYSTEMS = ("awe", "sdtw")
 VALID_FUSIONS = ("none", "mean", "dtw")
@@ -20,7 +20,7 @@ VALID_FUSIONS = ("none", "mean", "dtw")
 class RunConfig:
     workdir: Path = Path("runs/default")
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
-    model: ModelConfig = field(default_factory=ModelConfig)
+    model: ModelSettings = field(default_factory=ModelSettings)
     window: WindowConfig = field(default_factory=WindowConfig)
     system: str = "awe"
     fusion: str = "mean"
@@ -62,10 +62,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except ValueError as e:  # not UTF-8, not JSON, or an int of over 4300 digits
-            raise ValidationError(f"config {path} is not valid JSON: {e}") from e
+        data = codec.read_json(Path(path), ValidationError, f"config {path} is not valid JSON")
         return codec.load(cls, data)
 
     def config_hash(self) -> str:

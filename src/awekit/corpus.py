@@ -12,7 +12,6 @@ first uses that sequence's frames, then kept.
 """
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -302,10 +301,8 @@ def load_manifest(directory) -> CorpusBundle:
     index_path = directory / MANIFEST_NAME
     if not index_path.exists():
         raise FormatError(f"no {MANIFEST_NAME} in {directory}")
-    try:
-        index = json.loads(index_path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise IntegrityError(f"corrupt manifest {index_path}: {e}") from e
+    corrupt = f"corrupt manifest {index_path}"
+    index = codec.read_json(index_path, IntegrityError, corrupt)
     if not isinstance(index, dict) or index.get("version") != MANIFEST_VERSION:
         raise FormatError(f"{index_path} is not a version {MANIFEST_VERSION} manifest")
     blob_dir = str(directory)
@@ -313,13 +310,15 @@ def load_manifest(directory) -> CorpusBundle:
     def sequence(rec):
         if type(rec["blob"]) is not str:
             raise TypeError(f"blob must be a string, got {rec['blob']!r}")
-        codec.ints(rec, "rows", "cols", "crc32")
+        _, cols, _ = codec.ints(rec, "rows", "cols", "crc32")
+        if cols != spec.feature_dim:
+            raise IntegrityError(f"{corrupt}: {rec['blob']} is {cols} wide, not {spec.feature_dim}")
         return FeatureSequence(functools.partial(read_record, blob_dir, rec))
 
     def instance(rec):
         word, speaker, lang = codec.ints(rec, "word_id", "speaker_id", "language_id")
         if word not in range(spec.num_words) or lang != spec.word_language(word):
-            raise IntegrityError(f"corrupt manifest {index_path}: bad word {word}/language {lang}")
+            raise IntegrityError(f"{corrupt}: bad word {word}/language {lang}")
         return WordInstance(word, speaker, lang, sequence(rec))
 
     def occurrence(rec):
@@ -335,7 +334,7 @@ def load_manifest(directory) -> CorpusBundle:
         utterance_ids = set(ids)
         if len(utterance_ids) < len(ids):
             repeated = sorted(uid for uid in utterance_ids if ids.count(uid) > 1)
-            raise IntegrityError(f"corrupt manifest {index_path}: repeated utterance ids {repeated}")
+            raise IntegrityError(f"{corrupt}: repeated utterance ids {repeated}")
         bundle = CorpusBundle(
             spec=spec,
             train_instances=tuple(map(instance, index["train"])),
@@ -345,9 +344,9 @@ def load_manifest(directory) -> CorpusBundle:
         )
         utt_len = {uid: rec["rows"] for uid, rec in zip(ids, index["utterances"])}
     except (KeyError, TypeError) as e:
-        raise IntegrityError(f"corrupt manifest {index_path}: bad record ({e!r})") from e
+        raise IntegrityError(f"{corrupt}: bad record ({e!r})") from e
     try:
         _check_invariants(bundle, utt_len)
     except ValidationError as e:
-        raise IntegrityError(f"corrupt manifest {index_path}: {e}") from e
+        raise IntegrityError(f"{corrupt}: {e}") from e
     return bundle

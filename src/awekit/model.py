@@ -2,7 +2,6 @@
 joint word-discrimination + variability-invariant training, batched
 embedding, and model file I/O."""
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -33,10 +32,9 @@ MIN_LR = 1e-4
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    input_dim: int = 64
+class ModelSettings:
+    """The settings of a run config's `model` section."""
     stage_channels: tuple[int, ...] = (8, 16, 32, 64)
-    num_classes_per_language: tuple[int, ...] = (10, 10)
     softmax_mode: str = "one"  # one of SOFTMAX_MODES
     alpha: float = 0.8
     epochs: int = 80
@@ -53,10 +51,20 @@ class ModelConfig:
             raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
-        if not self.num_classes_per_language or min(self.num_classes_per_language) < 1:
-            raise ValidationError("every language needs at least one class")
         if min(self.stage_channels) < 1 or self.seed < 0:
             raise ValidationError("stage_channels must be >= 1 and seed >= 0")
+
+
+@dataclass(frozen=True)
+class ModelConfig(ModelSettings):
+    """The settings plus the corpus's feature dim and words per language."""
+    input_dim: int = 64
+    num_classes_per_language: tuple[int, ...] = (10, 10)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.num_classes_per_language or min(self.num_classes_per_language) < 1:
+            raise ValidationError("every language needs at least one class")
 
     @property
     def num_classes(self) -> int:
@@ -364,15 +372,16 @@ def load_model(path):
     against its header's record, the tensor table against the config."""
     path = Path(path)
     header_path = path.with_suffix(".json")
+    where = f"model header {header_path} is not valid"
     try:
-        header = json.loads(header_path.read_text())
+        header = codec.read_json(header_path, FormatError, where)
         cfg = codec.load(ModelConfig, header["config"], "model")
         table = {name: shape for name, shape in header["tensors"]}
         if header["blob"] != path.name:
             raise ValueError(f"it names blob {header['blob']!r}")
         flat = blobio.read_record(path.parent, header)
     except (OSError, ValueError, KeyError, TypeError) as e:
-        raise FormatError(f"model header {header_path} is not valid: {e!r}") from e
+        raise FormatError(f"{where}: {e!r}") from e
     shapes = {name: list(shape) for name, shape in sorted(_param_shapes(cfg).items())}
     for name in sorted(table.keys() | shapes.keys(), key=str):
         if table.get(name) != shapes.get(name):

@@ -375,7 +375,6 @@ def test_criterion_9_determinism_round_trips(tmp_path):
             "seed": 3,
         },
         "model": {
-            "input_dim": 8,
             "stage_channels": [2, 3, 4, 6],
             "softmax_mode": "block",
             "epochs": 6,

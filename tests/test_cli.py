@@ -27,7 +27,6 @@ TINY_CONFIG = {
         "seed": 3,
     },
     "model": {
-        "input_dim": 8,
         "stage_channels": [2, 3, 4, 6],
         "softmax_mode": "block",
         "epochs": 8,
@@ -89,6 +88,7 @@ class TestPipeline:
         report = json.loads(cfg.report_path.read_text())
         assert 0.0 <= report["map"] <= 1.0
         assert "config_hash" in report["provenance"]
+        assert not (cfg.corpus_dir / "provenance.json").exists()
         table = (cfg.report_path.parent / "metrics.txt").read_text()
         assert "all" in table
 
@@ -186,6 +186,8 @@ class TestErrorHandling:
             ({"model": {"stage_channels": 5}}, "model.stage_channels"),
             ({"templates_per_keyword": "3"}, "templates_per_keyword"),
             ({"window": []}, "window"),
+            ({"model": {"input_dim": 8}}, "'model.input_dim'"),
+            ({"model": {"num_classes_per_language": [2, 2]}}, "'model.num_classes_per_language'"),
         ],
         ids=[
             "workdirr",
@@ -197,6 +199,8 @@ class TestErrorHandling:
             "stage_channels-int",
             "templates_per_keyword-str",
             "window-list",
+            "input_dim-from-corpus",
+            "num_classes_per_language-from-corpus",
         ],
     )
     def test_unknown_config_key(self, tmp_path, config, key):
@@ -232,11 +236,16 @@ class TestErrorHandling:
         assert record["error"] == "ValidationError"
         assert "alpha" in record["message"]
 
-    @pytest.mark.parametrize("case", ["config-dir", "workdir-file", "results-dir"])
+    @pytest.mark.parametrize(
+        "case", ["config-dir", "config-missing", "workdir-file", "results-dir"]
+    )
     def test_os_error_is_a_format_error(self, config_file, tmp_path, case):
-        """A path that is a directory where a file belongs, or the reverse."""
+        """A path that is a directory where a file belongs, or the reverse, or no file at all."""
         if case == "config-dir":
             path, result = tmp_path, run(["synth"], tmp_path)
+        elif case == "config-missing":
+            path = tmp_path / "absent.json"
+            result = run(["synth"], path)
         elif case == "workdir-file":
             path = tmp_path / "file"
             path.write_text("")
@@ -344,12 +353,91 @@ class TestErrorHandling:
         assert record["error"] == "FormatError"
         assert fragment in record["message"]
 
+    @pytest.mark.parametrize(
+        "section,args",
+        [("train", ["train"]), ("utterances", ["search"])],
+        ids=["train", "utterance"],
+    )
+    def test_blob_of_another_width(self, config_file, section, args):
+        """A blob whose record and CRC32 agree, of 7 columns in a corpus of 8."""
+        run(["synth"], config_file)
+        corpus_dir = RunConfig.load(config_file).corpus_dir
+        index = json.loads((corpus_dir / "manifest.json").read_text())
+        rec = index[section][1]
+        rec.update(blobio.write_record(corpus_dir, rec["blob"], np.zeros((rec["rows"], 7))))
+        (corpus_dir / "manifest.json").write_text(json.dumps(index))
+        record = error_record(run(args, config_file))
+        assert record["error"] == "IntegrityError"
+        assert f"{rec['blob']} is 7 wide, not 8" in record["message"]
+
     def test_results_of_another_system(self, config_file):
         for cmd in (["synth"], ["train"], ["search"]):
             run(cmd, config_file)
         record = error_record(run(["--system", "sdtw", "eval"], config_file))
         assert record["error"] == "ValidationError"
         assert "'awe' results" in record["message"]
+
+
+LONG_INT = "<an int of 5001 digits>"
+MALFORMED = pytest.mark.parametrize("case", ["deep", "long-int"])
+
+
+def malformed(case, tree) -> str:
+    """JSON text of 200 000 nested lists, or of `tree` with each LONG_INT
+    string replaced by an int literal too long for `json.loads`."""
+    if case == "deep":
+        return "[" * 200_000
+    return json.dumps(tree).replace(json.dumps(LONG_INT), "1" + "0" * 5000)
+
+
+class TestMalformedJson:
+    """Every JSON reader reports a document nested too deeply, or an int of
+    over 4300 digits, as a typed error."""
+
+    @MALFORMED
+    def test_config(self, tmp_path, case):
+        path = tmp_path / "config.json"
+        path.write_text(malformed(case, {"templates_per_keyword": LONG_INT}))
+        record = error_record(run(["synth"], path))
+        assert record["error"] == "ValidationError"
+        assert f"config {path} is not valid JSON" in record["message"]
+
+    @MALFORMED
+    def test_manifest(self, config_file, case):
+        run(["synth"], config_file)
+        manifest = RunConfig.load(config_file).corpus_dir / "manifest.json"
+        index = json.loads(manifest.read_text())
+        index["ground_truth"][0]["start_frame"] = LONG_INT
+        manifest.write_text(malformed(case, index))
+        record = error_record(run([*SDTW, "search"], config_file))
+        assert record["error"] == "IntegrityError"
+        assert f"corrupt manifest {manifest}" in record["message"]
+
+    @MALFORMED
+    def test_model_header(self, config_file, case):
+        run(["synth"], config_file)
+        cfg = RunConfig.load(config_file)
+        mcfg = ModelConfig(input_dim=8, stage_channels=(2, 3, 4, 6))
+        save_model(build_network(mcfg), mcfg, cfg.model_path)
+        header_path = cfg.model_path.with_suffix(".json")
+        header = json.loads(header_path.read_text())
+        header["rows"] = LONG_INT
+        header_path.write_text(malformed(case, header))
+        record = error_record(run(["search"], config_file))
+        assert record["error"] == "FormatError"
+        assert f"model header {header_path} is not valid" in record["message"]
+
+    @MALFORMED
+    def test_results(self, config_file, case):
+        run(["synth"], config_file)
+        run([*SDTW, "search"], config_file)
+        results = RunConfig.load(config_file).results_path
+        lines = results.read_text().splitlines()
+        with open(results, "a") as f:
+            f.write(malformed(case, dict(json.loads(lines[-1]), rank=LONG_INT)) + "\n")
+        record = error_record(run([*SDTW, "eval"], config_file))
+        assert record["error"] == "FormatError"
+        assert f"line {len(lines) + 1} is not a result record" in record["message"]
 
 
 class TestOnDemandReads:

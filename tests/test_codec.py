@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import typing
 from pathlib import Path
 
@@ -42,6 +43,16 @@ def test_scalar_types():
             codec.load(ModelConfig, json.loads(f'{{"alpha": {text}}}'))
     with pytest.raises(ValidationError, match="word_len_frames must have 2 items"):
         codec.load(CorpusSpec, {"word_len_frames": [1, 2, 3]})
+
+
+def test_codec_is_the_one_json_reader():
+    package = Path(codec.__file__).parent
+    readers = [
+        path.name
+        for path in sorted(package.rglob("*.py"))
+        if re.search(r"\bjson\.loads?\(|from json import", path.read_text())
+    ]
+    assert readers == ["codec.py"]
 
 
 def test_failed_write_keeps_old_file(tmp_path, monkeypatch):

@@ -209,6 +209,18 @@ class TestManifestRoundTrip:
         with pytest.raises(IntegrityError, match="bad record"):
             load_manifest(tmp_path)
 
+    @pytest.mark.parametrize("section", ["train", "templates", "utterances"])
+    def test_blob_of_another_width_is_refused_at_load(self, tmp_path, section):
+        """A blob whose record and CRC32 agree, one column narrower than the spec."""
+        spec = small_spec(feature_dim=8)
+        save_manifest(synth_corpus(spec), tmp_path)
+        index = json.loads((tmp_path / "manifest.json").read_text())
+        rec = index[section][1]
+        rec.update(blobio.write_record(tmp_path, rec["blob"], np.zeros((rec["rows"], 7))))
+        (tmp_path / "manifest.json").write_text(json.dumps(index))
+        with pytest.raises(IntegrityError, match=f"{rec['blob']} is 7 wide, not 8"):
+            load_manifest(tmp_path)
+
     def test_save_is_deterministic(self, tmp_path):
         bundle = synth_corpus(small_spec())
         d1, d2 = tmp_path / "a", tmp_path / "b"
