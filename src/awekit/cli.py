@@ -1,7 +1,7 @@
-"""Command-line pipeline: synth -> train -> search -> eval, plus embed
-(embedding export). Each line of search's results.jsonl after the header
-holds system, keyword_id, utterance_id, score, rank, and the frames
-[start_frame, end_frame) of the best match in the utterance."""
+"""Command-line pipeline: synth -> train -> search -> eval. Each line of
+search's results.jsonl after the header holds system, keyword_id,
+utterance_id, score, rank, and the frames [start_frame, end_frame) of the
+best match in the utterance."""
 
 import dataclasses
 import json
@@ -11,7 +11,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import blobio, codec, corpus as corpus_mod, dtw as dtw_mod, matcher, metrics
+from . import codec, corpus as corpus_mod, dtw as dtw_mod, matcher, metrics
 from . import model as model_mod
 from .config import VALID_FUSIONS, VALID_SYSTEMS, RunConfig
 from .errors import AwekitError, FormatError, MissingArtifactError, ValidationError
@@ -47,12 +47,24 @@ def _load_bundle(cfg: RunConfig):
 
 
 class _Pipeline(click.Group):
-    """Reports an AwekitError from the group or any stage through `_fail`,
-    and an OSError as a FormatError that names its path."""
+    """Reports a usage error (an unknown command or option, a bad option
+    value) as a ValidationError and an AwekitError from the group or any
+    stage through `_fail`, and an OSError as a FormatError that names its
+    path."""
+
+    def parse_args(self, ctx, args):
+        if not args:  # a bare `awekit` prints click's help
+            return super().parse_args(ctx, args)
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as e:
+            _fail(ValidationError(e.format_message()))
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as e:
+            _fail(ValidationError(e.format_message()))
         except AwekitError as e:
             _fail(e)
         except OSError as e:
@@ -124,39 +136,6 @@ def _templates_by_keyword(bundle, limit):
     for inst in bundle.template_instances:
         grouped.setdefault(inst.word_id, []).append(inst.features)
     return {w: feats[:limit] for w, feats in sorted(grouped.items())}
-
-
-@main.command()
-@click.pass_obj
-def embed(cfg: RunConfig):
-    """Export embeddings for keyword templates and utterance windows."""
-    bundle = _load_bundle(cfg)
-    _require(cfg.model_path, "train")
-    params, mcfg = model_mod.load_model(cfg.model_path)
-    templates = bundle.template_instances
-    tmpl_embs = matcher.embed_templates(params, mcfg, cfg.window, [t.features for t in templates])
-    tmpl_index = {
-        **blobio.write_record(cfg.embeddings_dir, "templates.awef", tmpl_embs),
-        "items": [
-            {"row": row, "keyword_id": inst.word_id, "speaker_id": inst.speaker_id}
-            for row, inst in enumerate(templates)
-        ],
-    }
-
-    utt_index = []
-    windows = matcher.embed_windows(params, mcfg, [seq for _, seq in bundle.utterances], cfg.window)
-    for (utt_id, _), (starts, embs) in zip(bundle.utterances, windows):
-        record = blobio.write_record(cfg.embeddings_dir, f"utt_{utt_id:05d}.awef", embs)
-        utt_index.append({"utterance_id": utt_id, **record, "window_starts": starts.tolist()})
-    codec.write_json(
-        cfg.embeddings_dir / "index.json",
-        {
-            "provenance": cfg.provenance(),
-            "templates": tmpl_index,
-            "utterances": utt_index,
-        },
-    )
-    click.echo(f"embeddings -> {cfg.embeddings_dir}")
 
 
 @main.command()
@@ -242,15 +221,11 @@ def eval_cmd(cfg: RunConfig):
         rankings[kw] = matcher.RankedList(keyword_id=kw, entries=tuple(e[1:] for e in entries))
     language = {w: bundle.spec.word_language(w) for w in range(bundle.spec.num_words)}
     report = metrics.evaluate(rankings, rel)
+    groups = metrics.group_means(report, language)
     codec.write_json(
-        cfg.report_path,
-        {
-            "provenance": cfg.provenance(),
-            **codec.dump(report),
-            "groups": metrics.group_means(report, language),
-        },
+        cfg.report_path, {"provenance": cfg.provenance(), **codec.dump(report), "groups": groups}
     )
-    table = metrics.render_table(report, language)
+    table = metrics.render_table(report, groups)
     codec.write_atomic(cfg.report_path.parent / "metrics.txt", table + "\n")
     click.echo(table)
 

@@ -49,10 +49,6 @@ class RunConfig:
         return self.workdir / "models" / "train_report.json"
 
     @property
-    def embeddings_dir(self) -> Path:
-        return self.workdir / "features" / "embeddings"
-
-    @property
     def results_path(self) -> Path:
         return self.workdir / "results" / "results.jsonl"
 

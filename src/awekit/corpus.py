@@ -343,10 +343,9 @@ def load_manifest(directory) -> CorpusBundle:
             ground_truth=tuple(map(occurrence, index["ground_truth"])),
         )
         utt_len = {uid: rec["rows"] for uid, rec in zip(ids, index["utterances"])}
+        _check_invariants(bundle, utt_len)
     except (KeyError, TypeError) as e:
         raise IntegrityError(f"{corrupt}: bad record ({e!r})") from e
-    try:
-        _check_invariants(bundle, utt_len)
     except ValidationError as e:
         raise IntegrityError(f"{corrupt}: {e}") from e
     return bundle

@@ -110,21 +110,12 @@ def dtw_from_costs(costs: np.ndarray) -> DtwResult:
     return DtwResult(cost=float(acc[-1, -1]), path=path, span=(0, tb))
 
 
-def sdtw(query: FeatureSequence, content: FeatureSequence) -> DtwResult:
-    """Subsequence DTW: free start and end on the content axis."""
-    return sdtw_from_costs(cost_matrix(query, content))
-
-
 def sdtw_from_costs(costs: np.ndarray) -> DtwResult:
+    """Subsequence DTW: free start and end on the content axis."""
     acc = _accumulate(costs, free_start=True)
     end_j = int(np.argmin(acc[-1]))
     path = _backtrace(acc, acc.shape[0] - 1, end_j, free_start=True)
     return DtwResult(cost=float(acc[-1, end_j]), path=path, span=(path[0][1], end_j + 1))
-
-
-def normalized_sdtw_cost(query: FeatureSequence, content: FeatureSequence) -> float:
-    """S-DTW cost divided by query length; the utterance ranking score."""
-    return sdtw(query, content).cost / query.num_frames
 
 
 def fuse_templates_dtw(templates) -> FeatureSequence:
@@ -163,7 +154,6 @@ def sdtw_search(keyword_templates: dict, utterances, fusion: str = "none"):
         probes = [(p.num_frames, unit_frames(p)) for p in probes]
         scored = []
         for u, content in contents:
-            # per pair, the same operations as normalized_sdtw_cost
             results = ((sdtw_from_costs(unit_costs(p, content)), n) for n, p in probes)
             best, n = min(results, key=lambda e: e[0].cost / e[1])
             scored.append((u, best.cost / n, *best.span))

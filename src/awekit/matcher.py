@@ -104,20 +104,17 @@ def fuse_templates_mean(embeddings: np.ndarray) -> np.ndarray:
     return embs.mean(axis=0)
 
 
-def embed_templates(params, cfg, window_cfg: WindowConfig, templates) -> np.ndarray:
-    """Embeddings [n, d] of templates padded/clipped to the window size."""
-    if not templates:
-        raise ValidationError("no templates to embed")
-    w = window_cfg.window_frames(templates[0].frame_shift)
-    return embed_sequences(params, cfg, [pad_or_clip(t, w) for t in templates])
-
-
 def make_query(params, cfg, window_cfg: WindowConfig, templates) -> list[KeywordQuery]:
     """One query per keyword of `templates` ({keyword_id: [FeatureSequence]}),
-    in keyword order: every template is embedded in one call, and each
-    keyword's embeddings are fused by their mean."""
+    in keyword order: every template is padded or clipped to the window
+    size, all are embedded in one call, and each keyword's embeddings are
+    fused by their mean."""
     keywords = sorted(templates)
-    embs = embed_templates(params, cfg, window_cfg, [t for k in keywords for t in templates[k]])
+    flat = [t for k in keywords for t in templates[k]]
+    if not flat:
+        raise ValidationError("no templates to embed")
+    w = window_cfg.window_frames(flat[0].frame_shift)
+    embs = embed_sequences(params, cfg, [pad_or_clip(t, w) for t in flat])
     parts = np.split(embs, np.cumsum([len(templates[k]) for k in keywords])[:-1])
     return [
         KeywordQuery(keyword_id=k, fused=fuse_templates_mean(part))

@@ -95,15 +95,15 @@ def group_means(report: MetricsReport, group_language: dict) -> dict:
     return out
 
 
-def render_table(report: MetricsReport, group_language=None) -> str:
-    """Aligned-text table: per-language group rows plus the overall row."""
+def render_table(report: MetricsReport, groups: dict) -> str:
+    """Aligned-text table: a row per language of `groups` (`group_means`)
+    plus the overall row."""
     lines = [f"{'group':<12}{'MAP':>8}{'P@5':>8}{'P@N':>8}{'#kw':>6}"]
-    if group_language is not None:
-        for lang, g in group_means(report, group_language).items():
-            lines.append(
-                f"{'lang ' + str(lang):<12}{g['map']:>8.3f}{g['mean_p_at_5']:>8.3f}"
-                f"{g['mean_p_at_n']:>8.3f}{g['num_keywords']:>6d}"
-            )
+    for lang, g in groups.items():
+        lines.append(
+            f"{'lang ' + str(lang):<12}{g['map']:>8.3f}{g['mean_p_at_5']:>8.3f}"
+            f"{g['mean_p_at_n']:>8.3f}{g['num_keywords']:>6d}"
+        )
     lines.append(
         f"{'all':<12}{report.map:>8.3f}{report.mean_p_at_5:>8.3f}"
         f"{report.mean_p_at_n:>8.3f}{len(report.per_keyword):>6d}"

@@ -78,12 +78,12 @@ def assert_spans_within_utterances(cfg):
 
 class TestPipeline:
     def test_end_to_end_awe(self, config_file):
-        for cmd in (["synth"], ["train"], ["embed"], ["search"], ["eval"]):
+        for cmd in (["synth"], ["train"], ["search"], ["eval"]):
             result = run(cmd, config_file)
             assert result.exit_code == 0, result.output + str(result.stderr_bytes)
         cfg = pipeline_artifacts(config_file)
         assert cfg.model_path.exists()
-        assert (cfg.embeddings_dir / "templates.awef").exists()
+        assert not (cfg.workdir / "features").exists()
         assert_spans_within_utterances(cfg)
         report = json.loads(cfg.report_path.read_text())
         assert 0.0 <= report["map"] <= 1.0
@@ -94,7 +94,7 @@ class TestPipeline:
 
     def test_every_blob_has_a_record(self, config_file):
         """Each blob is named, with its shape and CRC32, by a JSON file of its directory."""
-        for cmd in (["synth"], ["train"], ["embed"], ["search"], ["eval"]):
+        for cmd in (["synth"], ["train"], ["search"], ["eval"]):
             assert run(cmd, config_file).exit_code == 0
         workdir = RunConfig.load(config_file).workdir
 
@@ -237,6 +237,28 @@ class TestErrorHandling:
         assert "alpha" in record["message"]
 
     @pytest.mark.parametrize(
+        "args,fragment",
+        [
+            (["--seed", "abc", "synth"], "'--seed'"),
+            (["--system", "bogus", "synth"], "'--system'"),
+            (["synth", "--bogus"], "'--bogus'"),
+            (["bogus"], "'bogus'"),
+            (["embed"], "'embed'"),
+        ],
+        ids=["seed-str", "system-bogus", "option-bogus", "command-bogus", "command-embed"],
+    )
+    def test_usage_error(self, args, fragment):
+        record = error_record(run(args))
+        assert record["error"] == "ValidationError"
+        assert fragment in record["message"]
+
+    @pytest.mark.parametrize("args", [["--help"], ["synth", "--help"]], ids=["group", "command"])
+    def test_help(self, args):
+        result = run(args)
+        assert result.exit_code == 0
+        assert result.output.startswith("Usage:")
+
+    @pytest.mark.parametrize(
         "case", ["config-dir", "config-missing", "workdir-file", "results-dir"]
     )
     def test_os_error_is_a_format_error(self, config_file, tmp_path, case):
@@ -296,6 +318,9 @@ class TestErrorHandling:
             ("ground_truth", "word_id", "x"),
             ("ground_truth", "utterance_id", 10**6),
             ("utterances", None, None),
+            ("spec", "bogus", 1),
+            ("spec", "num_search_utterances", 0),
+            ("ground_truth", "end_frame", lambda rec: rec["start_frame"]),
         ],
         ids=[
             "no-blob",
@@ -305,21 +330,25 @@ class TestErrorHandling:
             "gt-word_id-str",
             "gt-utterance_id-unknown",
             "utterance_id-repeated",
+            "spec-unknown-key",
+            "spec-no-utterances",
+            "gt-empty-span",
         ],
     )
     def test_bad_manifest_record(self, config_file, section, key, value):
-        """A record with `key` deleted (value None) or set to `value`; with
-        no key, the first record appears twice."""
+        """A record (the spec, or a section's first record) with `key`
+        deleted (value None) or set to `value` (or to what `value` computes
+        from the record); with no key, the first record appears twice."""
         run(["synth"], config_file)
         manifest = RunConfig.load(config_file).corpus_dir / "manifest.json"
         index = json.loads(manifest.read_text())
-        rec = index[section][0]
+        rec = index[section] if section == "spec" else index[section][0]
         if key is None:
             index[section].append(rec)
         elif value is None:
             del rec[key]
         else:
-            rec[key] = value
+            rec[key] = value(rec) if callable(value) else value
         manifest.write_text(json.dumps(index))
         record = error_record(run(["train"], config_file))
         assert record["error"] == "IntegrityError"

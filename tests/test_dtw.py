@@ -8,8 +8,6 @@ from awekit.dtw import (
     dtw,
     dtw_from_costs,
     fuse_templates_dtw,
-    normalized_sdtw_cost,
-    sdtw,
     sdtw_from_costs,
     sdtw_search,
 )
@@ -36,6 +34,16 @@ def enumerate_paths_cost(costs):
         return here + best
 
     return walk(0, 0)
+
+
+def sdtw(query, content):
+    """Subsequence DTW of two sequences: free start and end on the content axis."""
+    return sdtw_from_costs(cost_matrix(query, content))
+
+
+def normalized_sdtw_cost(query, content):
+    """S-DTW cost divided by query length; sdtw_search's ranking score."""
+    return sdtw(query, content).cost / query.num_frames
 
 
 def sdtw_oracle(costs):

@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from awekit import model
 from awekit.errors import ShapeError, ValidationError
-from awekit.features import FeatureSequence
+from awekit.features import FeatureSequence, pad_or_clip
 from awekit.matcher import (
     ZERO_NORM_COST,
     WindowConfig,
     cosine_cost,
-    embed_templates,
     embed_windows,
     fuse_templates_mean,
     make_query,
@@ -191,7 +190,9 @@ class TestSearch:
         queries = make_query(params, cfg, self.WCFG, templates)
         assert [q.keyword_id for q in queries] == [1, 3]
         for q in queries:
-            alone = fuse_templates_mean(embed_templates(params, cfg, self.WCFG, templates[q.keyword_id]))
+            w = self.WCFG.window_frames(0.01)
+            fitted = [pad_or_clip(t, w) for t in templates[q.keyword_id]]
+            alone = fuse_templates_mean(model.embed_sequences(params, cfg, fitted))
             np.testing.assert_allclose(q.fused, alone, atol=1e-6)
         utts = [seq(t, rng=rng) for t in (25, 3, 40)]
         together = embed_windows(params, cfg, utts, self.WCFG)

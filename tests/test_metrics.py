@@ -133,7 +133,7 @@ class TestEvaluate:
 
     def test_render_table_contains_rows(self):
         report = evaluate({0: ranked([1]), 1: ranked([1])}, {0: {1}, 1: {1}})
-        text = render_table(report, group_language={0: 0, 1: 1})
+        text = render_table(report, group_means(report, {0: 0, 1: 1}))
         assert "lang 0" in text and "lang 1" in text and "all" in text
 
 
