@@ -16,7 +16,10 @@ ZERO_NORM_COST = 1.0
 
 @dataclass(frozen=True)
 class WindowConfig:
-    window_seconds: float = 0.8
+    """0.4 s windows: about one word long (the corpus's words are 24-40
+    frames), so a window's embedding holds little context."""
+
+    window_seconds: float = 0.4
     stride_frames: int = 5
     sma_len: int = 5
 

@@ -35,7 +35,7 @@ from awekit.matcher import RankedList
 
 SEEDS = (0, 1, 2)
 DESK_MODEL = ModelConfig(softmax_mode="block", epochs=80)
-WINDOW = WindowConfig()  # 0.8 s / 80 frames, stride 5, sma 5
+WINDOW = WindowConfig()  # 0.4 s / 40 frames, stride 5, sma 5
 
 
 def announce(n, ok, detail=""):

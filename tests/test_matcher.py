@@ -26,7 +26,7 @@ def seq(t, d=4, rng=None, shift=0.01):
 class TestWindowConfig:
     def test_defaults(self):
         cfg = WindowConfig()
-        assert cfg.window_frames(0.01) == 80
+        assert cfg.window_frames(0.01) == 40
 
     def test_validation(self):
         with pytest.raises(ValidationError):
