@@ -69,34 +69,34 @@ def window_segments(seq: FeatureSequence, cfg: WindowConfig):
 
 
 def cosine_cost(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Cosine distance of x against each row of ys; a pair with a
-    zero-norm vector costs ZERO_NORM_COST instead of NaN."""
+    """Cosine distance of each query x ([d] or [K, d]) against each row of
+    ys ([N, d]), shaped [N] or [K, N]; a pair with a zero-norm vector
+    costs ZERO_NORM_COST instead of NaN."""
     x = np.asarray(x, dtype=np.float64)
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
     if ys.shape[0] == 0:
         raise ValidationError("cosine_cost needs at least one candidate")
-    if ys.shape[1] != x.shape[0]:
-        raise ShapeError(f"dim mismatch: x has {x.shape[0]}, candidates have {ys.shape[1]}")
-    xn = np.linalg.norm(x)
+    if ys.shape[1] != x.shape[-1]:
+        raise ShapeError(f"dim mismatch: x has {x.shape[-1]}, candidates have {ys.shape[1]}")
+    xn = np.linalg.norm(x, axis=-1)[..., None]
     yn = np.linalg.norm(ys, axis=1)
     degenerate = (xn == 0.0) | (yn == 0.0)
     denom = np.where(degenerate, 1.0, xn * yn)
-    costs = 1.0 - (ys @ x) / denom
+    costs = 1.0 - (x @ ys.T) / denom
     costs[degenerate] = ZERO_NORM_COST
     return costs
 
 
 def sma(trace, k: int) -> np.ndarray:
-    """Trailing simple moving average; windows at the head shrink to the
-    number of available points."""
+    """Trailing simple moving average along the last axis; windows at the
+    head shrink to the number of available points."""
     if k < 1:
         raise ValidationError(f"sma window must be >= 1, got {k}")
     trace = np.asarray(trace, dtype=np.float64)
-    csum = np.concatenate([[0.0], np.cumsum(trace)])
-    n = len(trace)
-    idx = np.arange(n)
+    csum = np.cumsum(np.concatenate([np.zeros_like(trace[..., :1]), trace], axis=-1), axis=-1)
+    idx = np.arange(trace.shape[-1])
     lo = np.maximum(0, idx - k + 1)
-    return (csum[idx + 1] - csum[lo]) / (idx + 1 - lo)
+    return (csum[..., idx + 1] - csum[..., lo]) / (idx + 1 - lo)
 
 
 def fuse_templates_mean(embeddings: np.ndarray) -> np.ndarray:
@@ -141,6 +141,8 @@ def search(queries, utterances, params, cfg, window_cfg: WindowConfig):
     """Rank utterances per keyword by minimum smoothed cosine cost; the
     span of an entry is the window at that minimum, clipped to the
     utterance. Returns {keyword_id: RankedList}."""
+    if not queries:
+        return {}
     # window embeddings are query-independent: compute them once
     windows = embed_windows(params, cfg, [seq for _, seq in utterances], window_cfg)
     utt_windows = {
@@ -148,15 +150,17 @@ def search(queries, utterances, params, cfg, window_cfg: WindowConfig):
         for (utt_id, seq), w in zip(utterances, windows)
     }
 
-    rankings = {}
-    for q in queries:
-        scored = []
-        for utt_id in sorted(utt_windows):
-            num_frames, width, starts, embs = utt_windows[utt_id]
-            smoothed = sma(cosine_cost(q.fused, embs), window_cfg.sma_len)
-            best = int(np.argmin(smoothed))
+    fused = np.stack([q.fused for q in queries])  # [K, d]
+    scored = [[] for _ in queries]
+    for utt_id in sorted(utt_windows):
+        num_frames, width, starts, embs = utt_windows[utt_id]
+        # every keyword's cost trace over this utterance's windows at once
+        smoothed = sma(cosine_cost(fused, embs), window_cfg.sma_len)  # [K, N]
+        for entries, row, best in zip(scored, smoothed, np.argmin(smoothed, axis=1)):
             start = int(starts[best])
-            scored.append((utt_id, float(smoothed[best]), start, min(start + width, num_frames)))
-        scored.sort(key=lambda e: (e[1], e[0]))
-        rankings[q.keyword_id] = RankedList(keyword_id=q.keyword_id, entries=tuple(scored))
+            entries.append((utt_id, float(row[best]), start, min(start + width, num_frames)))
+    rankings = {}
+    for q, entries in zip(queries, scored):
+        entries.sort(key=lambda e: (e[1], e[0]))
+        rankings[q.keyword_id] = RankedList(keyword_id=q.keyword_id, entries=tuple(entries))
     return rankings

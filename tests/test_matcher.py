@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from awekit import model
+from awekit import matcher, model
 from awekit.errors import ShapeError, ValidationError
 from awekit.features import FeatureSequence, pad_or_clip
 from awekit.matcher import (
     ZERO_NORM_COST,
+    KeywordQuery,
     WindowConfig,
     cosine_cost,
     embed_windows,
@@ -216,3 +217,92 @@ class TestSearch:
         r_base = search([q], [(0, FeatureSequence(frames=base_frames))], params, cfg, self.WCFG)
         r_ext = search([q], [(0, FeatureSequence(frames=extended))], params, cfg, self.WCFG)
         assert r_ext[0].entries[0][1] <= r_base[0].entries[0][1] + 1e-9
+
+
+def brute_force_search(queries, utterances, embed, wcfg):
+    """{keyword_id: [(utt_id, score, start, end)]} with one cosine per
+    (query, window), a trailing mean summed from scratch at every window
+    and the first index of the minimum."""
+    out = {}
+    for q in queries:
+        entries = []
+        for utt_id, s in utterances:
+            frames = s.frames.astype(np.float64)
+            w = wcfg.window_frames(s.frame_shift)
+            starts = list(range(0, len(frames), wcfg.stride_frames))
+            costs = []
+            for start in starts:
+                window = np.zeros((w, frames.shape[1]))
+                part = frames[start : start + w]
+                window[: len(part)] = part
+                e = embed(window)
+                qn, en = np.sqrt(np.sum(q.fused**2)), np.sqrt(np.sum(e**2))
+                costs.append(ZERO_NORM_COST if qn == 0 or en == 0 else 1.0 - float(q.fused @ e) / (qn * en))
+            smoothed = []
+            for i in range(len(costs)):
+                lo = max(0, i - wcfg.sma_len + 1)
+                smoothed.append(sum(costs[lo : i + 1]) / (i + 1 - lo))
+            best = 0
+            for i, value in enumerate(smoothed):
+                if value < smoothed[best]:
+                    best = i
+            entries.append((utt_id, smoothed[best], starts[best], min(starts[best] + w, len(frames))))
+        entries.sort(key=lambda e: (e[1], e[0]))
+        out[q.keyword_id] = entries
+    return out
+
+
+class TestSearchOracle:
+    """`search` scores all keywords of an utterance with one product;
+    a per-window brute-force scorer must agree with it."""
+
+    @staticmethod
+    def frame_sum(frames):
+        # linear, so an all-zero window embeds to a zero-norm vector
+        return np.asarray(frames, dtype=np.float64).sum(axis=0)
+
+    @pytest.mark.parametrize("sma_len", [1, 3, 7])
+    def test_matches_brute_force(self, monkeypatch, sma_len):
+        monkeypatch.setattr(
+            matcher, "embed_sequences", lambda params, cfg, seqs: np.stack([self.frame_sum(s.frames) for s in seqs])
+        )
+        wcfg = WindowConfig(window_seconds=0.1, stride_frames=5, sma_len=sma_len)  # 10-frame windows
+        rng = np.random.default_rng(9)
+        with_zero_window = rng.normal(size=(40, 4)).astype(np.float32)
+        with_zero_window[15:25] = 0.0  # the window starting at frame 15 is all zero
+        utterances = [
+            (4, seq(33, rng=rng)),
+            (0, FeatureSequence(frames=with_zero_window)),
+            (2, seq(12, rng=rng)),  # 3 windows, fewer than sma_len 7
+            (7, seq(4, rng=rng)),  # one window
+            (5, seq(50, rng=rng)),
+        ]
+        queries = [
+            KeywordQuery(keyword_id=k, fused=v)
+            for k, v in [(3, rng.normal(size=4)), (1, np.zeros(4)), (8, rng.normal(size=4)), (6, rng.normal(size=4))]
+        ]
+        got = search(queries, utterances, None, None, wcfg)
+        want = brute_force_search(queries, utterances, self.frame_sum, wcfg)
+        assert sorted(got) == sorted(want)
+        for k, entries in want.items():
+            ranked = got[k].entries
+            assert [(e[0], e[2], e[3]) for e in ranked] == [(e[0], e[2], e[3]) for e in entries]
+            np.testing.assert_allclose([e[1] for e in ranked], [e[1] for e in entries], rtol=0, atol=1e-12)
+        # the zero-norm query costs ZERO_NORM_COST everywhere: ties broken by id
+        assert got[1].entries == tuple((u, ZERO_NORM_COST, 0, min(10, s.num_frames)) for u, s in sorted(utterances))
+        # the zero-norm window costs ZERO_NORM_COST without a NaN
+        assert all(np.isfinite(e[1]) for r in got.values() for e in r.entries)
+
+    def test_zero_norm_window_cost(self):
+        costs = cosine_cost([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(costs, [[ZERO_NORM_COST, 0.0, 1.0], [ZERO_NORM_COST] * 3])
+
+    def test_stacked_rows_match_one_query_at_a_time(self):
+        rng = np.random.default_rng(10)
+        xs, ys = rng.normal(size=(5, 6)), rng.normal(size=(9, 6))
+        stacked = cosine_cost(xs, ys)
+        assert stacked.shape == (5, 9)
+        for x, row in zip(xs, stacked):
+            np.testing.assert_allclose(row, cosine_cost(x, ys), rtol=0, atol=1e-15)
+        traces = rng.uniform(size=(4, 8))
+        np.testing.assert_array_equal(sma(traces, 3), [sma(t, 3) for t in traces])
