@@ -2,7 +2,8 @@
 
 Each test prints a single ``[criterion N] PASS`` line on success (visible
 with ``pytest -s`` or in the verbose pass/fail listing). The expensive
-desk-scale trainings are shared across criteria 5-7 via session fixtures.
+desk-scale trainings are shared across criteria 5-7 and 10 via session
+fixtures.
 """
 
 import dataclasses
@@ -19,7 +20,13 @@ from awekit.corpus import CorpusSpec, load_manifest, save_manifest, synth_corpus
 from awekit.dtw import dtw_from_costs, sdtw_from_costs, sdtw_search
 from awekit.features import FeatureSequence
 from awekit.matcher import WindowConfig, fuse_templates_mean, make_query, search
-from awekit.metrics import average_precision, evaluate, precision_at_k, relevance_from_ground_truth
+from awekit.metrics import (
+    average_precision,
+    evaluate,
+    group_means,
+    precision_at_k,
+    relevance_from_ground_truth,
+)
 from awekit.model import (
     ModelConfig,
     _batch_array,
@@ -74,24 +81,32 @@ def templates_by_keyword(bundle, limit):
     return {w: feats[:limit] for w, feats in sorted(grouped.items())}
 
 
-def awe_map(run, n_templates):
+def awe_report(run, n_templates):
     bundle = run["bundle"]
     queries = make_query(run["params"], run["cfg"], WINDOW, templates_by_keyword(bundle, n_templates))
     rankings = search(queries, bundle.utterances, run["params"], run["cfg"], WINDOW)
     rel = relevance_from_ground_truth(bundle.ground_truth)
     rankings = {k: v for k, v in rankings.items() if k in rel}
-    return evaluate(rankings, rel).map
+    return evaluate(rankings, rel)
+
+
+def block_maps(report, spec):
+    """MAP over the keywords of each language block, in language order."""
+    languages = {m.keyword_id: spec.word_language(m.keyword_id) for m in report.per_keyword}
+    return tuple(g["map"] for g in group_means(report, languages).values())
 
 
 @pytest.fixture(scope="session")
 def retrieval(desk_runs):
-    """MAP per run at 5 templates, plus 10-template MAP for alpha=0.8."""
+    """MAP per run at 5 templates (overall and per language block), plus
+    10-template MAP for alpha=0.8."""
     out = {}
     for key, run in desk_runs.items():
         seed, alpha = key
-        out[key] = {"map5": awe_map(run, 5)}
+        report5 = awe_report(run, 5)
+        out[key] = {"map5": report5.map, "blocks5": block_maps(report5, run["bundle"].spec)}
         if alpha == 0.8:
-            out[key]["map10"] = awe_map(run, 10)
+            out[key]["map10"] = awe_report(run, 10).map
     return out
 
 
@@ -423,4 +438,48 @@ def test_criterion_9_determinism_round_trips(tmp_path):
         ok,
         f"rerun byte-identical: {identical}, manifest round trip: {manifest_ok}, "
         f"model round trip: {model_ok}",
+    )
+
+
+@pytest.fixture(scope="session")
+def monolingual_runs(desk_runs):
+    """Per (seed, language): a model trained on that language's training
+    instances alone (word ids shifted to start at 0, softmax `one` over
+    its words, alpha 0.8 and the desk epochs), then searched with every
+    keyword's templates in the code-switching utterances."""
+    bundle = desk_runs[(SEEDS[0], 0.8)]["bundle"]
+    runs = {}
+    for language in (0, 1):
+        insts = [i for i in bundle.train_instances if i.language_id == language]
+        first = min(i.word_id for i in insts)
+        insts = [dataclasses.replace(i, word_id=i.word_id - first) for i in insts]
+        num_words = len({i.word_id for i in insts})
+        for seed in SEEDS:
+            cfg = dataclasses.replace(
+                DESK_MODEL, softmax_mode="one", num_classes_per_language=(num_words,), alpha=0.8, seed=seed
+            )
+            params, _ = train(cfg, insts)
+            report = awe_report({"bundle": bundle, "cfg": cfg, "params": params}, 5)
+            runs[(seed, language)] = {"map5": report.map, "blocks5": block_maps(report, bundle.spec)}
+    return runs
+
+
+@pytest.mark.desk
+def test_criterion_10_bilingual_training(retrieval, monolingual_runs):
+    # paper claim 1: training on both languages helps code-switching search
+    def medians(runs):
+        overall = float(np.median([r["map5"] for r in runs]))
+        blocks = np.median([r["blocks5"] for r in runs], axis=0)
+        return overall, f"{overall:.3f} ({blocks[0]:.3f} / {blocks[1]:.3f})"
+
+    both, both_text = medians([retrieval[(s, 0.8)] for s in SEEDS])
+    single = {lang: medians([monolingual_runs[(s, lang)] for s in SEEDS]) for lang in (0, 1)}
+    ok = all(both >= m for m, _ in single.values())
+    announce(
+        10,
+        ok,
+        f"median 5-template MAP over seeds {SEEDS} (language 0 / language 1 keywords): "
+        f"both languages {both_text} >= language 0 only {single[0][1]}, "
+        f"language 1 only {single[1][1]}; every model alpha 0.8, {DESK_MODEL.epochs} epochs, "
+        f"so a single-language model takes half the steps",
     )
