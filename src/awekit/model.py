@@ -252,6 +252,12 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
     Each anchor instance gets one sampled same-word different-speaker
     partner per step; words with a single speaker fall back to
     partner == anchor (zero MSE term).
+
+    A step's B pairs, sorted by the longer of anchor and partner, are
+    forwarded as two sub-graphs (one when B == 1), each its anchors then
+    its partners padded to its own longest item, which lowers peak memory.
+    Each half's `total_loss` is scaled by its share of the pairs, so their
+    sum is the whole batch's loss, with one backward and one Nesterov step.
     """
     instances = list(instances)
     if not instances:
@@ -300,14 +306,32 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
                 partners[i][int(rng.integers(0, len(partners[i])))] if partners[i] else i
                 for i in anchor_idx
             ]
-            items = [instances[i] for i in (*anchor_idx, *partner_idx)]
+            b = len(anchor_idx)
+            longer = [
+                max(instances[i].features.num_frames, instances[j].features.num_frames)
+                for i, j in zip(anchor_idx, partner_idx)
+            ]
             pt = _as_param_tensors(params)
-            batch, lens = _batch_array([it.features for it in items], cfg)
-            x = tk.Tensor(batch, requires_grad=False)
-            emb, logits = _forward_graph(pt, cfg, x, lens)
-            targets = np.array([it.word_id for it in items])
-            lang = np.array([it.language_id if cfg.softmax_mode == "block" else 0 for it in items])
-            loss, ce_val, mse_val = total_loss(logits, emb, targets, lang, layout, cfg.alpha)
+            loss = None
+            ce_val = mse_val = 0.0
+            for half in np.array_split(np.argsort(longer, kind="stable"), min(2, b)):
+                items = [instances[anchor_idx[k]] for k in half]
+                items += [instances[partner_idx[k]] for k in half]
+                batch, lens = _batch_array([it.features for it in items], cfg)
+                x = tk.Tensor(batch, requires_grad=False)
+                emb, logits = _forward_graph(pt, cfg, x, lens)
+                targets = np.array([it.word_id for it in items])
+                lang = np.array(
+                    [it.language_id if cfg.softmax_mode == "block" else 0 for it in items]
+                )
+                part, ce_part, mse_part = total_loss(logits, emb, targets, lang, layout, cfg.alpha)
+                share = len(half) / b
+                part = part.scale(share)
+                loss = part if loss is None else loss + part
+                ce_val += share * ce_part
+                mse_val += share * mse_part
+                pred = tk.block_softmax(logits.value, layout, lang).argmax(axis=1)
+                correct += int((pred == targets)[: len(half)].sum())
             if not np.isfinite(loss.value):
                 raise ValidationError(
                     f"non-finite loss {loss.value} at epoch {epoch}, batch {n_batches}"
@@ -325,8 +349,6 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
             ep_total += float(loss.value)
             ep_ce += ce_val
             ep_mse += mse_val
-            pred = tk.block_softmax(logits.value, layout, lang).argmax(axis=1)
-            correct += int((pred == targets)[: len(anchor_idx)].sum())
             n_batches += 1
         mean_loss = ep_total / n_batches
         report.epochs.append(

@@ -314,7 +314,8 @@ def test_criterion_6_variability_invariant_loss(desk_runs, retrieval):
     announce(
         6,
         ok,
-        f"median MAP {map_with:.3f} (a=0.8) >= {map_without:.3f} (a=0); "
+        f"median MAP {map_with!r} (a=0.8) >= {map_without!r} (a=0), "
+        f"difference {map_with - map_without:+.3g}; "
         f"median cross-speaker cosine distance {d_with:.4f} < {d_without:.4f}",
     )
 
@@ -330,7 +331,8 @@ def test_criterion_7_multi_template(desk_runs, retrieval):
     announce(
         7,
         ok,
-        f"median MAP 10 templates {map10:.3f} >= 5 templates {map5:.3f}; "
+        f"median MAP 10 templates {map10!r} >= 5 templates {map5!r}, "
+        f"difference {map10 - map5:+.3g}; "
         f"fused == coordinate-wise mean exactly: {exact}",
     )
 
@@ -470,7 +472,7 @@ def test_criterion_10_bilingual_training(retrieval, monolingual_runs):
     def medians(runs):
         overall = float(np.median([r["map5"] for r in runs]))
         blocks = np.median([r["blocks5"] for r in runs], axis=0)
-        return overall, f"{overall:.3f} ({blocks[0]:.3f} / {blocks[1]:.3f})"
+        return overall, f"{overall!r} ({blocks[0]:.3f} / {blocks[1]:.3f})"
 
     both, both_text = medians([retrieval[(s, 0.8)] for s in SEEDS])
     single = {lang: medians([monolingual_runs[(s, lang)] for s in SEEDS]) for lang in (0, 1)}
@@ -479,7 +481,8 @@ def test_criterion_10_bilingual_training(retrieval, monolingual_runs):
         10,
         ok,
         f"median 5-template MAP over seeds {SEEDS} (language 0 / language 1 keywords): "
-        f"both languages {both_text} >= language 0 only {single[0][1]}, "
-        f"language 1 only {single[1][1]}; every model alpha 0.8, {DESK_MODEL.epochs} epochs, "
+        f"both languages {both_text} >= language 0 only {single[0][1]} "
+        f"(difference {both - single[0][0]:+.3g}), language 1 only {single[1][1]} "
+        f"(difference {both - single[1][0]:+.3g}); every model alpha 0.8, {DESK_MODEL.epochs} epochs, "
         f"so a single-language model takes half the steps",
     )

@@ -12,7 +12,7 @@ from test_codec import json_trees
 from test_tensorkit import assert_same_bits
 
 from awekit import blobio, codec, tensorkit as tk
-from awekit.corpus import CorpusSpec, synth_corpus
+from awekit.corpus import CorpusSpec, WordInstance, synth_corpus
 from awekit.errors import (
     AwekitError,
     FormatError,
@@ -257,10 +257,16 @@ def test_training_step_graph_is_freed_without_gc():
     params = build_network(TINY)
 
     def step():
+        # as `train` builds it: two sub-graphs, each its anchors then its
+        # partners, joined by `scale` and `+`
         pt = _as_param_tensors(params)
-        batch, lens = _batch_array(seqs([9, 12, 7, 10], seed=4), TINY)
-        emb, logits = _forward_graph(pt, TINY, tk.Tensor(batch, requires_grad=False), lens)
-        loss, _, _ = total_loss(logits, emb, [0, 1, 0, 1], [0, 0, 0, 0], TINY.layout, 0.8)
+        loss = None
+        for lengths in ([7, 9, 8, 9], [12, 10, 11, 12]):
+            batch, lens = _batch_array(seqs(lengths, seed=4), TINY)
+            emb, logits = _forward_graph(pt, TINY, tk.Tensor(batch, requires_grad=False), lens)
+            part, _, _ = total_loss(logits, emb, [0, 1, 0, 1], [0, 0, 0, 0], TINY.layout, 0.8)
+            part = part.scale(0.5)
+            loss = part if loss is None else loss + part
         loss.backward()
         nodes, stack = {}, [loss]
         while stack:
@@ -393,6 +399,86 @@ class TestTrain:
         bad = [dataclasses.replace(bundle.train_instances[0], word_id=99)]
         with pytest.raises(ValidationError, match="word_id"):
             train(TRAIN_CFG, bad)
+
+
+def word_pairs(lengths):
+    """Two instances per word, by speakers 0 and 1, with the given frame
+    counts: each instance's only partner is the other, whatever the rng."""
+    out = []
+    for word, pair in enumerate(lengths):
+        for speaker, frames in enumerate(pair):
+            (features,) = seqs([frames], seed=10 * word + speaker)
+            out.append(WordInstance(word, speaker, int(word >= 2), features))
+    return out
+
+
+def spy_train(monkeypatch, cfg, instances):
+    """Train; return the report, the shape of every forwarded batch and the
+    gradients of the first step."""
+    import awekit.model as model
+
+    shapes, grads = [], []
+    forward_graph, step = model._forward_graph, tk.sgd_nesterov_step
+
+    def record_forward(pt, cfg, x, valid_t):
+        shapes.append(x.shape)
+        return forward_graph(pt, cfg, x, valid_t)
+
+    def record_step(params, g, velocity, lr, momentum):
+        grads.append({name: v.copy() for name, v in g.items()})
+        step(params, g, velocity, lr, momentum)
+
+    monkeypatch.setattr(model, "_forward_graph", record_forward)
+    monkeypatch.setattr(tk, "sgd_nesterov_step", record_step)
+    _, report = train(cfg, instances)
+    return report, shapes, grads[0]
+
+
+class TestSplitStep:
+    """`train` forwards each step's pairs as two length-sorted sub-graphs."""
+
+    CFG = dataclasses.replace(TRAIN_CFG, epochs=1, grad_clip_norm=0.0)
+
+    def test_two_halves_give_the_one_graph_loss_and_gradients(self, monkeypatch):
+        from awekit.model import _as_param_tensors, _batch_array, _forward_graph
+
+        instances = word_pairs([(5, 14), (9, 7), (12, 6), (8, 8)])
+        with tk.float64_mode():
+            report, shapes, grads = spy_train(monkeypatch, self.CFG, instances)
+            # the reference: every anchor, then its partner, in one graph
+            pt = _as_param_tensors(build_network(self.CFG))
+            items = instances + [instances[i ^ 1] for i in range(len(instances))]
+            batch, lens = _batch_array([it.features for it in items], self.CFG)
+            emb, logits = _forward_graph(pt, self.CFG, tk.Tensor(batch), lens)
+            targets = [it.word_id for it in items]
+            lang = [it.language_id for it in items]
+            loss, ce, mse = total_loss(logits, emb, targets, lang, self.CFG.layout, 0.8)
+            loss.backward()
+        # 4 pairs each; the shorter half is padded to 9 frames, not 14
+        assert [s[0] for s in shapes] == [8, 8] and [s[-1] for s in shapes] == [9, 14]
+        (epoch,) = report.epochs
+        np.testing.assert_allclose(
+            [epoch.total_loss, epoch.ce_loss, epoch.mse_loss],
+            [float(loss.value), ce, mse],
+            rtol=1e-12,
+        )
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, pt[name].grad, rtol=1e-12, err_msg=name)
+
+    def test_final_batch_of_one_pair_is_one_graph(self, monkeypatch):
+        instances = word_pairs([(5, 14), (9, 7), (12, 6), (8, 8)])
+        cfg = dataclasses.replace(self.CFG, epochs=2, batch_size=7)
+        with tk.float64_mode():
+            report, shapes, _ = spy_train(monkeypatch, cfg, instances)
+        assert [s[0] for s in shapes] == [8, 6, 2] * 2
+        assert all(np.isfinite(e.total_loss) for e in report.epochs)
+
+    def test_pairs_of_one_length(self, monkeypatch):
+        instances = word_pairs([(7, 7)] * 4)
+        with tk.float64_mode():
+            report, shapes, _ = spy_train(monkeypatch, self.CFG, instances)
+        assert shapes == [(8, 1, 6, 7)] * 2
+        assert np.isfinite(report.epochs[0].total_loss)
 
 
 class TestModelIO:
