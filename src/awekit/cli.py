@@ -14,7 +14,7 @@ import numpy as np
 from . import codec, corpus as corpus_mod, dtw as dtw_mod, matcher, metrics
 from . import model as model_mod
 from .config import VALID_FUSIONS, VALID_SYSTEMS, RunConfig
-from .errors import AwekitError, FormatError, MissingArtifactError, ValidationError
+from .errors import AwekitError, FormatError, IntegrityError, MissingArtifactError, ValidationError
 
 
 def _fail(err: AwekitError):
@@ -213,11 +213,19 @@ def eval_cmd(cfg: RunConfig):
     bundle = _load_bundle(cfg)
     entries_by_kw = _read_results(_require(cfg.results_path, "search"), cfg.system)
     rel = metrics.relevance_from_ground_truth(bundle.ground_truth)
+    utterance_ids = sorted(u for u, _ in bundle.utterances)
     rankings = {}
     for kw, entries in entries_by_kw.items():
+        entries.sort()
+        where = f"{cfg.results_path}: keyword {kw}"
+        if kw not in range(bundle.spec.num_words):
+            raise IntegrityError(f"{where} is not a word of the corpus spec")
+        if sorted(e[1] for e in entries) != utterance_ids:
+            raise IntegrityError(f"{where} does not rank each manifest utterance once")
+        if [e[0] for e in entries] != list(range(1, len(entries) + 1)):
+            raise IntegrityError(f"{where} has ranks other than 1..{len(entries)}")
         if kw not in rel:
             continue  # keyword never occurs in the search content
-        entries.sort()
         rankings[kw] = matcher.RankedList(keyword_id=kw, entries=tuple(e[1:] for e in entries))
     language = {w: bundle.spec.word_language(w) for w in range(bundle.spec.num_words)}
     report = metrics.evaluate(rankings, rel)

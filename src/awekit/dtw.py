@@ -5,9 +5,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 from .features import FeatureSequence
-from .matcher import ZERO_NORM_COST, RankedList
+from .matcher import RankedList, cosine_cost, unit_costs, unit_rows
 
 
 @dataclass(frozen=True)
@@ -19,28 +19,7 @@ class DtwResult:
 
 def cost_matrix(a: FeatureSequence, b: FeatureSequence) -> np.ndarray:
     """Pairwise cosine distances between the frames of two sequences."""
-    return unit_costs(unit_frames(a), unit_frames(b))
-
-
-def unit_frames(seq: FeatureSequence) -> tuple[np.ndarray, np.ndarray]:
-    """The frames as float64 rows of unit norm, and the mask of the frames
-    of zero norm (left as zero rows)."""
-    frames = seq.frames.astype(np.float64)
-    norms = np.linalg.norm(frames, axis=1)
-    zero = norms == 0.0
-    return frames / np.where(zero, 1.0, norms)[:, None], zero
-
-
-def unit_costs(a, b) -> np.ndarray:
-    """Cosine distances between the frames of two `unit_frames` results;
-    a frame of zero norm costs ZERO_NORM_COST against every frame."""
-    (fa, za), (fb, zb) = a, b
-    if fa.shape[1] != fb.shape[1]:
-        raise ShapeError(f"feature dims differ: {fa.shape[1]} vs {fb.shape[1]}")
-    c = 1.0 - fa @ fb.T
-    c[za, :] = ZERO_NORM_COST
-    c[:, zb] = ZERO_NORM_COST
-    return c
+    return cosine_cost(a.frames, b.frames)
 
 
 def _backtrace(acc: np.ndarray, i: int, j: int, free_start: bool):
@@ -145,18 +124,17 @@ def sdtw_search(keyword_templates: dict, utterances, fusion: str = "none"):
     match span. Returns {keyword_id: RankedList}."""
     if fusion not in ("none", "dtw"):
         raise ValidationError(f"fusion must be 'none' or 'dtw', got {fusion!r}")
-    contents = [(u, unit_frames(seq)) for u, seq in sorted(utterances, key=lambda u: u[0])]
+    contents = [(u, unit_rows(seq.frames)) for u, seq in utterances]
     rankings = {}
     for keyword_id, templates in keyword_templates.items():
         if not templates:
             raise ValidationError(f"keyword {keyword_id} has no templates")
         probes = [fuse_templates_dtw(templates)] if fusion == "dtw" else templates
-        probes = [(p.num_frames, unit_frames(p)) for p in probes]
+        probes = [(p.num_frames, unit_rows(p.frames)) for p in probes]
         scored = []
         for u, content in contents:
             results = ((sdtw_from_costs(unit_costs(p, content)), n) for n, p in probes)
             best, n = min(results, key=lambda e: e[0].cost / e[1])
             scored.append((u, best.cost / n, *best.span))
-        scored.sort(key=lambda e: (e[1], e[0]))
-        rankings[keyword_id] = RankedList(keyword_id=keyword_id, entries=tuple(scored))
+        rankings[keyword_id] = RankedList.ranked(keyword_id, scored)
     return rankings

@@ -51,6 +51,11 @@ class RankedList:
     # best match lies in frames [start_frame, end_frame) of the utterance
     entries: tuple[tuple[int, float, int, int], ...]
 
+    @classmethod
+    def ranked(cls, keyword_id: int, entries) -> "RankedList":
+        """The entries in ascending score, ties broken by utterance id."""
+        return cls(keyword_id, tuple(sorted(entries, key=lambda e: (e[1], e[0]))))
+
 
 def window_segments(seq: FeatureSequence, cfg: WindowConfig):
     """Fixed-size windows at regular stride; trailing partials zero-padded.
@@ -68,23 +73,31 @@ def window_segments(seq: FeatureSequence, cfg: WindowConfig):
     return out
 
 
-def cosine_cost(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Cosine distance of each query x ([d] or [K, d]) against each row of
-    ys ([N, d]), shaped [N] or [K, N]; a pair with a zero-norm vector
-    costs ZERO_NORM_COST instead of NaN."""
-    x = np.asarray(x, dtype=np.float64)
-    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    if ys.shape[0] == 0:
-        raise ValidationError("cosine_cost needs at least one candidate")
-    if ys.shape[1] != x.shape[-1]:
-        raise ShapeError(f"dim mismatch: x has {x.shape[-1]}, candidates have {ys.shape[1]}")
-    xn = np.linalg.norm(x, axis=-1)[..., None]
-    yn = np.linalg.norm(ys, axis=1)
-    degenerate = (xn == 0.0) | (yn == 0.0)
-    denom = np.where(degenerate, 1.0, xn * yn)
-    costs = 1.0 - (x @ ys.T) / denom
-    costs[degenerate] = ZERO_NORM_COST
-    return costs
+def unit_rows(m) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of m ([N, d]) as float64 rows of unit norm, and the mask of
+    the rows of zero norm (left as zero rows)."""
+    m = np.asarray(m, dtype=np.float64)
+    norms = np.linalg.norm(m, axis=1)
+    zero = norms == 0.0
+    return m / np.where(zero, 1.0, norms)[:, None], zero
+
+
+def unit_costs(a, b) -> np.ndarray:
+    """Cosine distances [len(a), len(b)] between the rows of two `unit_rows`
+    results; a zero-norm row costs ZERO_NORM_COST against every row."""
+    (ua, za), (ub, zb) = a, b
+    if ua.shape[1] != ub.shape[1]:
+        raise ShapeError(f"dim mismatch: {ua.shape[1]} vs {ub.shape[1]}")
+    c = 1.0 - ua @ ub.T
+    c[za, :] = ZERO_NORM_COST
+    c[:, zb] = ZERO_NORM_COST
+    return c
+
+
+def cosine_cost(xs, ys) -> np.ndarray:
+    """Cosine distance [K, N] of each query xs ([K, d]) against each row of
+    ys ([N, d])."""
+    return unit_costs(unit_rows(xs), unit_rows(ys))
 
 
 def sma(trace, k: int) -> np.ndarray:
@@ -126,15 +139,14 @@ def make_query(params, cfg, window_cfg: WindowConfig, templates) -> list[Keyword
 
 
 def embed_windows(params, cfg, seqs, window_cfg: WindowConfig):
-    """[(start frames [N], embeddings [N, d])] of each sequence's windows;
-    the windows of all sequences are embedded in one call."""
+    """(embeddings [N, d], start frames [N], bounds [U+1]) of the windows of
+    all U sequences, embedded in one call; the windows of sequence i are
+    rows bounds[i]:bounds[i+1]."""
     segs = [window_segments(seq, window_cfg) for seq in seqs]
-    embs = embed_sequences(params, cfg, [w for windows in segs for _, w in windows])
-    parts = np.split(embs, np.cumsum([len(windows) for windows in segs])[:-1])
-    return [
-        (np.array([start for start, _ in windows]), np.asarray(part, dtype=np.float64))
-        for windows, part in zip(segs, parts)
-    ]
+    flat = [w for windows in segs for w in windows]
+    embs = embed_sequences(params, cfg, [w for _, w in flat])
+    bounds = np.cumsum([0] + [len(windows) for windows in segs])
+    return np.asarray(embs, dtype=np.float64), np.array([start for start, _ in flat]), bounds
 
 
 def search(queries, utterances, params, cfg, window_cfg: WindowConfig):
@@ -143,24 +155,13 @@ def search(queries, utterances, params, cfg, window_cfg: WindowConfig):
     utterance. Returns {keyword_id: RankedList}."""
     if not queries:
         return {}
-    # window embeddings are query-independent: compute them once
-    windows = embed_windows(params, cfg, [seq for _, seq in utterances], window_cfg)
-    utt_windows = {
-        utt_id: (seq.num_frames, window_cfg.window_frames(seq.frame_shift), *w)
-        for (utt_id, seq), w in zip(utterances, windows)
-    }
-
-    fused = np.stack([q.fused for q in queries])  # [K, d]
+    embs, starts, bounds = embed_windows(params, cfg, [seq for _, seq in utterances], window_cfg)
+    costs = cosine_cost(np.stack([q.fused for q in queries]), embs)  # [K, N]
     scored = [[] for _ in queries]
-    for utt_id in sorted(utt_windows):
-        num_frames, width, starts, embs = utt_windows[utt_id]
-        # every keyword's cost trace over this utterance's windows at once
-        smoothed = sma(cosine_cost(fused, embs), window_cfg.sma_len)  # [K, N]
+    for (utt_id, seq), lo, hi in zip(utterances, bounds[:-1], bounds[1:]):
+        width = window_cfg.window_frames(seq.frame_shift)
+        smoothed = sma(costs[:, lo:hi], window_cfg.sma_len)
         for entries, row, best in zip(scored, smoothed, np.argmin(smoothed, axis=1)):
-            start = int(starts[best])
-            entries.append((utt_id, float(row[best]), start, min(start + width, num_frames)))
-    rankings = {}
-    for q, entries in zip(queries, scored):
-        entries.sort(key=lambda e: (e[1], e[0]))
-        rankings[q.keyword_id] = RankedList(keyword_id=q.keyword_id, entries=tuple(entries))
-    return rankings
+            start = int(starts[lo + best])
+            entries.append((utt_id, float(row[best]), start, min(start + width, seq.num_frames)))
+    return {q.keyword_id: RankedList.ranked(q.keyword_id, e) for q, e in zip(queries, scored)}

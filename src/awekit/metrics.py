@@ -67,15 +67,21 @@ def evaluate(rankings: dict, relevance: dict) -> MetricsReport:
                 num_relevant=len(relevant),
             )
         )
-    n = len(per_keyword)
-    if n == 0:
+    if not per_keyword:
         raise ValidationError("no keywords to evaluate")
-    return MetricsReport(
-        per_keyword=tuple(per_keyword),
-        map=sum(m.ap for m in per_keyword) / n,
-        mean_p_at_5=sum(m.p_at_5 for m in per_keyword) / n,
-        mean_p_at_n=sum(m.p_at_n for m in per_keyword) / n,
-    )
+    mean = _means(per_keyword)
+    return MetricsReport(tuple(per_keyword), mean["map"], mean["mean_p_at_5"], mean["mean_p_at_n"])
+
+
+def _means(ms) -> dict:
+    """Unweighted means of AP, P@5 and P@N over keyword metrics `ms`, and
+    their count."""
+    return {
+        "map": sum(m.ap for m in ms) / len(ms),
+        "mean_p_at_5": sum(m.p_at_5 for m in ms) / len(ms),
+        "mean_p_at_n": sum(m.p_at_n for m in ms) / len(ms),
+        "num_keywords": len(ms),
+    }
 
 
 def group_means(report: MetricsReport, group_language: dict) -> dict:
@@ -83,31 +89,20 @@ def group_means(report: MetricsReport, group_language: dict) -> dict:
     groups: dict[int, list[KeywordMetrics]] = {}
     for m in report.per_keyword:
         groups.setdefault(group_language[m.keyword_id], []).append(m)
-    out = {}
-    for lang in sorted(groups):
-        ms = groups[lang]
-        out[lang] = {
-            "map": sum(m.ap for m in ms) / len(ms),
-            "mean_p_at_5": sum(m.p_at_5 for m in ms) / len(ms),
-            "mean_p_at_n": sum(m.p_at_n for m in ms) / len(ms),
-            "num_keywords": len(ms),
-        }
-    return out
+    return {lang: _means(groups[lang]) for lang in sorted(groups)}
 
 
 def render_table(report: MetricsReport, groups: dict) -> str:
     """Aligned-text table: a row per language of `groups` (`group_means`)
     plus the overall row."""
+    rows = [(f"lang {lang}", g) for lang, g in groups.items()]
+    rows.append(("all", _means(report.per_keyword)))
     lines = [f"{'group':<12}{'MAP':>8}{'P@5':>8}{'P@N':>8}{'#kw':>6}"]
-    for lang, g in groups.items():
+    for name, g in rows:
         lines.append(
-            f"{'lang ' + str(lang):<12}{g['map']:>8.3f}{g['mean_p_at_5']:>8.3f}"
+            f"{name:<12}{g['map']:>8.3f}{g['mean_p_at_5']:>8.3f}"
             f"{g['mean_p_at_n']:>8.3f}{g['num_keywords']:>6d}"
         )
-    lines.append(
-        f"{'all':<12}{report.map:>8.3f}{report.mean_p_at_5:>8.3f}"
-        f"{report.mean_p_at_n:>8.3f}{len(report.per_keyword):>6d}"
-    )
     return "\n".join(lines)
 
 

@@ -10,7 +10,7 @@ from .nn import (
     mse,
     relu,
 )
-from .optim import grad_check, sgd_nesterov_step
+from .optim import sgd_nesterov_step
 
 __all__ = [
     "Tensor",
@@ -26,6 +26,5 @@ __all__ = [
     "maxpool2x2",
     "mse",
     "relu",
-    "grad_check",
     "sgd_nesterov_step",
 ]

@@ -83,9 +83,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __add__(self, other):
         if not isinstance(other, Tensor):
             other = Tensor(other)

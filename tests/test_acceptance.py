@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from gradcheck import grad_check
 
 from awekit import codec, tensorkit as tk
 from awekit.cli import main as cli_main
@@ -142,7 +143,7 @@ def test_criterion_1_gradient_correctness():
                 assert mse > 0
                 return total
 
-            worst[mode] = tk.grad_check(loss_fn, pt, h=1e-5, max_coords=6)
+            worst[mode] = grad_check(loss_fn, pt, h=1e-5, max_coords=6)
     elapsed = time.time() - t0
     ok = max(worst.values()) < 1e-4 and elapsed < 60
     announce(

@@ -383,6 +383,40 @@ class TestErrorHandling:
         assert fragment in record["message"]
 
     @pytest.mark.parametrize(
+        "case,fragment",
+        [
+            ("utterance-dropped", "does not rank each manifest utterance once"),
+            ("utterance-renamed", "does not rank each manifest utterance once"),
+            ("ranks-all-1", "has ranks other than 1.."),
+            ("keyword-unknown", "keyword 99 is not a word of the corpus spec"),
+        ],
+        ids=["utterance-dropped", "utterance-renamed", "ranks-all-1", "keyword-unknown"],
+    )
+    def test_results_that_do_not_match_the_corpus(self, config_file, case, fragment):
+        """Well-formed records that rank another set of utterances, out of
+        order, or a keyword the corpus spec does not have."""
+        sdtw = ["--system", "sdtw", "--fusion", "none"]
+        run(["synth"], config_file)
+        run([*sdtw, "search"], config_file)
+        results = RunConfig.load(config_file).results_path
+        header, *lines = results.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        last_keyword = records[-1]["keyword_id"]
+        if case == "utterance-dropped":
+            records = [r for r in records if r["utterance_id"] != 1]
+        for r in records:
+            if case == "utterance-renamed" and r["utterance_id"] == 1:
+                r["utterance_id"] = 777
+            elif case == "ranks-all-1":
+                r["rank"] = 1
+            elif case == "keyword-unknown" and r["keyword_id"] == last_keyword:
+                r["keyword_id"] = 99
+        results.write_text("".join(line + "\n" for line in [header, *map(json.dumps, records)]))
+        record = error_record(run([*sdtw, "eval"], config_file))
+        assert record["error"] == "IntegrityError"
+        assert str(results) in record["message"] and fragment in record["message"]
+
+    @pytest.mark.parametrize(
         "section,args",
         [("train", ["train"]), ("utterances", ["search"])],
         ids=["train", "utterance"],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_tensorkit import assert_same_bits
 
 from awekit.corpus import CorpusSpec, load_manifest, save_manifest, synth_corpus
 from awekit.dtw import (
@@ -13,7 +14,7 @@ from awekit.dtw import (
 )
 from awekit.errors import ShapeError, ValidationError
 from awekit.features import FeatureSequence
-from awekit.matcher import ZERO_NORM_COST, RankedList
+from awekit.matcher import ZERO_NORM_COST, RankedList, cosine_cost
 
 
 def enumerate_paths_cost(costs):
@@ -132,6 +133,17 @@ class TestLocalCost:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             local_cost([1.0], [1.0, 2.0])
+
+    def test_same_bits_as_matcher_cosine_cost(self):
+        # S-DTW frames and AWE embeddings share one cosine rule
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(7, 5)), rng.normal(size=(11, 5))
+        a[2] = 0.0
+        b[[0, 6]] = 0.0
+        a, b = seq(a), seq(b)
+        got = cost_matrix(a, b)
+        assert_same_bits(got, cosine_cost(a.frames, b.frames))
+        assert (got[2] == ZERO_NORM_COST).all() and (got[:, [0, 6]] == ZERO_NORM_COST).all()
 
 
 class TestDtw:

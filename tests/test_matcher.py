@@ -61,23 +61,23 @@ class TestWindowSegments:
 
 class TestCosineCost:
     def test_identical_vector(self):
-        (cost,) = cosine_cost([1.0, 2.0], [[1.0, 2.0]])
+        ((cost,),) = cosine_cost([[1.0, 2.0]], [[1.0, 2.0]])
         assert cost == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_and_parallel(self):
-        costs = cosine_cost([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
+        (costs,) = cosine_cost([[1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(costs, [1.0, 0.0], atol=1e-12)
         assert costs[1] == 0.0
 
     def test_hand_value(self):
-        (cost,) = cosine_cost([1.0, 1.0], [[1.0, 0.0]])
+        ((cost,),) = cosine_cost([[1.0, 1.0]], [[1.0, 0.0]])
         assert cost == pytest.approx(1 - 1 / np.sqrt(2), abs=1e-9)
         assert cost == pytest.approx(0.29289, abs=1e-5)
 
     def test_zero_norm_flagged(self):
-        costs = cosine_cost([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(costs, [ZERO_NORM_COST, ZERO_NORM_COST])
-        assert cosine_cost([1.0, 0.0], [[0.0, 0.0], [1.0, 0.0]])[0] == ZERO_NORM_COST
+        costs = cosine_cost([[0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(costs, [[ZERO_NORM_COST, ZERO_NORM_COST]])
+        assert cosine_cost([[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])[0, 0] == ZERO_NORM_COST
         stacked = cosine_cost([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         np.testing.assert_array_equal(stacked, [[ZERO_NORM_COST, 0.0, 1.0], [ZERO_NORM_COST] * 3])
 
@@ -87,19 +87,15 @@ class TestCosineCost:
         stacked = cosine_cost(xs, ys)
         assert stacked.shape == (5, 9)
         for x, row in zip(xs, stacked):
-            np.testing.assert_allclose(row, cosine_cost(x, ys), rtol=0, atol=1e-15)
-
-    def test_empty_candidates(self):
-        with pytest.raises(ValidationError):
-            cosine_cost([1.0], np.zeros((0, 1)))
+            np.testing.assert_allclose(row, cosine_cost([x], ys)[0], rtol=0, atol=1e-15)
 
     @settings(max_examples=30, deadline=None)
     @given(c=st.floats(1e-3, 1e3), seed=st.integers(0, 10**6))
     def test_scale_invariance(self, c, seed):
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=3) + 0.1, rng.normal(size=3) + 0.1
-        base = cosine_cost(x, [y])[0]
-        scaled = cosine_cost(c * x, [y])[0]
+        base = cosine_cost([x], [y])[0, 0]
+        scaled = cosine_cost([c * x], [y])[0, 0]
         assert scaled == pytest.approx(base, abs=1e-6)
 
 
@@ -210,12 +206,15 @@ class TestSearch:
             alone = fuse_templates_mean(model.embed_sequences(params, cfg, fitted))
             np.testing.assert_allclose(q.fused, alone, atol=1e-6)
         utts = [seq(t, rng=rng) for t in (25, 3, 40)]
-        together = embed_windows(params, cfg, utts, self.WCFG)
-        assert len(together) == len(utts)
-        for utt, (starts, embs) in zip(utts, together):
-            (alone_starts, alone_embs), = embed_windows(params, cfg, [utt], self.WCFG)
-            np.testing.assert_array_equal(starts, alone_starts)
-            np.testing.assert_allclose(embs, alone_embs, atol=1e-6)
+        embs, starts, bounds = embed_windows(params, cfg, utts, self.WCFG)
+        assert embs.dtype == np.float64
+        assert bounds.tolist() == [0, 7, 8, 18]  # ceil(T / stride 4) windows each
+        assert len(embs) == len(starts) == bounds[-1]
+        for utt, lo, hi in zip(utts, bounds[:-1], bounds[1:]):
+            alone_embs, alone_starts, alone_bounds = embed_windows(params, cfg, [utt], self.WCFG)
+            assert alone_bounds.tolist() == [0, hi - lo]
+            np.testing.assert_array_equal(starts[lo:hi], alone_starts)
+            np.testing.assert_allclose(embs[lo:hi], alone_embs, atol=1e-6)
 
     def test_appending_exact_match_never_worsens_score(self, tiny_model):
         params, cfg = tiny_model

@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from gradcheck import grad_check
 from test_codec import json_trees
 from test_tensorkit import assert_same_bits
 
@@ -303,7 +304,7 @@ class TestGradients:
                 assert mse > 0
                 return total
 
-            worst = tk.grad_check(loss_fn, pt, max_coords=4)
+            worst = grad_check(loss_fn, pt, max_coords=4)
             assert worst < 1e-4
 
     def test_inactive_block_fc_columns_get_zero_grad(self):
