@@ -214,12 +214,16 @@ def eval_cmd(cfg: RunConfig):
     entries_by_kw = _read_results(_require(cfg.results_path, "search"), cfg.system)
     rel = metrics.relevance_from_ground_truth(bundle.ground_truth)
     utterance_ids = sorted(u for u, _ in bundle.utterances)
+    keywords = sorted({inst.word_id for inst in bundle.template_instances})
+    if sorted(entries_by_kw) != keywords:
+        raise IntegrityError(
+            f"{cfg.results_path} ranks keywords {sorted(entries_by_kw)}, "
+            f"not the words with templates {keywords}"
+        )
     rankings = {}
     for kw, entries in entries_by_kw.items():
         entries.sort()
         where = f"{cfg.results_path}: keyword {kw}"
-        if kw not in range(bundle.spec.num_words):
-            raise IntegrityError(f"{where} is not a word of the corpus spec")
         if sorted(e[1] for e in entries) != utterance_ids:
             raise IntegrityError(f"{where} does not rank each manifest utterance once")
         if [e[0] for e in entries] != list(range(1, len(entries) + 1)):

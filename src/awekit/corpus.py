@@ -79,6 +79,7 @@ class CorpusSpec:
         return self.num_words_lang_a + self.num_words_lang_b
 
     def word_language(self, word_id: int) -> int:
+        """Word ids number the language-0 words first."""
         return 0 if word_id < self.num_words_lang_a else 1
 
     @property
@@ -95,7 +96,6 @@ class CorpusSpec:
 class WordInstance:
     word_id: int
     speaker_id: int
-    language_id: int
     features: FeatureSequence
 
 
@@ -172,7 +172,6 @@ def synth_corpus(spec: CorpusSpec) -> CorpusBundle:
         return WordInstance(
             word_id=word_id,
             speaker_id=speaker_id,
-            language_id=spec.word_language(word_id),
             features=FeatureSequence(frames=feat.astype(np.float32)),
         )
 
@@ -273,7 +272,6 @@ def save_manifest(bundle: CorpusBundle, directory) -> None:
             {
                 "word_id": inst.word_id,
                 "speaker_id": inst.speaker_id,
-                "language_id": inst.language_id,
                 **write_record(directory, f"{stem}_{i:05d}.awef", inst.features.frames),
             }
             for i, inst in enumerate(insts)
@@ -316,10 +314,10 @@ def load_manifest(directory) -> CorpusBundle:
         return FeatureSequence(functools.partial(read_record, blob_dir, rec))
 
     def instance(rec):
-        word, speaker, lang = codec.ints(rec, "word_id", "speaker_id", "language_id")
-        if word not in range(spec.num_words) or lang != spec.word_language(word):
-            raise IntegrityError(f"{corrupt}: bad word {word}/language {lang}")
-        return WordInstance(word, speaker, lang, sequence(rec))
+        word, speaker = codec.ints(rec, "word_id", "speaker_id")
+        if word not in range(spec.num_words):
+            raise IntegrityError(f"{corrupt}: word {word} is not in the spec")
+        return WordInstance(word, speaker, sequence(rec))
 
     def occurrence(rec):
         codec.ints(rec, "utterance_id", "word_id", "start_frame", "end_frame")

@@ -25,9 +25,5 @@ class IncompatibleModelError(FormatError):
     """A model file is structurally valid but does not match this build."""
 
 
-class TooShortError(ValidationError):
-    """An input sequence is shorter than the operation's minimum length."""
-
-
 class MissingArtifactError(AwekitError):
     """A pipeline stage was invoked before its inputs were produced."""

@@ -10,12 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blobio, codec, tensorkit as tk
-from .errors import (
-    FormatError,
-    IncompatibleModelError,
-    TooShortError,
-    ValidationError,
-)
+from .errors import FormatError, IncompatibleModelError, ValidationError
 from .features import FeatureSequence
 
 log = logging.getLogger(__name__)
@@ -75,14 +70,12 @@ class ModelConfig(ModelSettings):
         return self.stage_channels[-1]
 
     @property
-    def layout(self) -> tk.BlockLayout:
+    def layout(self) -> tuple[int, ...]:
+        """The softmax block sizes: all classes in one block, or one block
+        per language, whose words the corpus numbers in language order."""
         if self.softmax_mode == "one":
-            return tk.BlockLayout.single(self.num_classes)
-        blocks, cursor = [], 0
-        for n in self.num_classes_per_language:
-            blocks.append((cursor, cursor + n))
-            cursor += n
-        return tk.BlockLayout(tuple(blocks))
+            return (self.num_classes,)
+        return self.num_classes_per_language
 
 
 @dataclass
@@ -197,8 +190,6 @@ def _batch_array(seqs: list[FeatureSequence], cfg: ModelConfig):
     if dim != cfg.input_dim:
         raise ValidationError(f"feature dim {dim} != model input_dim {cfg.input_dim}")
     lens = [s.num_frames for s in seqs]
-    if min(lens) < 1:
-        raise TooShortError("network minimum input length is 1 frame")
     t_max = max(lens)
     batch = np.zeros((len(seqs), 1, dim, t_max), dtype=tk.default_dtype())
     for i, s in enumerate(seqs):
@@ -232,7 +223,7 @@ def embed_sequences(params, cfg: ModelConfig, seqs, batch_size=16) -> np.ndarray
     return out
 
 
-def total_loss(logits, emb, targets, lang, layout, alpha):
+def total_loss(logits, emb, targets, layout, alpha):
     """Joint objective CE(anchors) + CE(partners) + alpha * MSE(their
     embeddings) over one graph of B anchors followed by their B partners;
     with equal halves, twice the CE mean over 2B items is CE1 + CE2.
@@ -240,7 +231,7 @@ def total_loss(logits, emb, targets, lang, layout, alpha):
     Returns (total, ce_sum_value, mse_value) with total a scalar Tensor.
     """
     half = emb.shape[0] // 2
-    ce = tk.block_cross_entropy(logits, layout, lang, targets).scale(2.0)
+    ce = tk.block_cross_entropy(logits, layout, targets).scale(2.0)
     l_mse = tk.mse(emb[:half], emb[half:])
     total = ce + l_mse.scale(alpha)
     return total, float(ce.value), float(l_mse.value)
@@ -321,16 +312,13 @@ def train(cfg: ModelConfig, instances) -> tuple[dict[str, np.ndarray], TrainRepo
                 x = tk.Tensor(batch, requires_grad=False)
                 emb, logits = _forward_graph(pt, cfg, x, lens)
                 targets = np.array([it.word_id for it in items])
-                lang = np.array(
-                    [it.language_id if cfg.softmax_mode == "block" else 0 for it in items]
-                )
-                part, ce_part, mse_part = total_loss(logits, emb, targets, lang, layout, cfg.alpha)
+                part, ce_part, mse_part = total_loss(logits, emb, targets, layout, cfg.alpha)
                 share = len(half) / b
                 part = part.scale(share)
                 loss = part if loss is None else loss + part
                 ce_val += share * ce_part
                 mse_val += share * mse_part
-                pred = tk.block_softmax(logits.value, layout, lang).argmax(axis=1)
+                pred = tk.block_softmax(logits.value, layout, targets).argmax(axis=1)
                 correct += int((pred == targets)[: len(half)].sum())
             if not np.isfinite(loss.value):
                 raise ValidationError(

@@ -1,6 +1,5 @@
 from .autograd import Tensor, asarray, default_dtype, float64_mode
 from .nn import (
-    BlockLayout,
     block_cross_entropy,
     block_softmax,
     conv2d,
@@ -17,7 +16,6 @@ __all__ = [
     "asarray",
     "default_dtype",
     "float64_mode",
-    "BlockLayout",
     "block_cross_entropy",
     "block_softmax",
     "conv2d",

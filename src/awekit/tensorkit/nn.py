@@ -1,40 +1,10 @@
 """Differentiable layers: conv2d, max-pool, ReLU, linear, masked GAP,
 block softmax cross-entropy, and MSE."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ShapeError, ValidationError
 from .autograd import Tensor
-
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Contiguous, non-overlapping index ranges over the output layer,
-    one block per language."""
-
-    blocks: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple((int(b), int(e)) for b, e in self.blocks))
-        if not self.blocks:
-            raise ValidationError("layout needs at least one block")
-        cursor = 0
-        for begin, end in self.blocks:
-            if begin != cursor or end <= begin:
-                raise ValidationError(
-                    f"blocks must be contiguous and non-empty, got {self.blocks}"
-                )
-            cursor = end
-
-    @classmethod
-    def single(cls, n: int) -> "BlockLayout":
-        return cls(blocks=((0, n),))
-
-    @property
-    def total(self) -> int:
-        return self.blocks[-1][1]
 
 
 def _pair(v):
@@ -212,45 +182,40 @@ def gap_masked(x: Tensor, valid_t) -> Tensor:
     return out
 
 
-def _block_softmax(logits: np.ndarray, layout: BlockLayout, lang):
-    """(probabilities [B,N], log-sum-exp [B], block bounds [B,2]) of each row's
-    softmax over its language's block; other columns are masked to -inf, so 0."""
-    if logits.ndim != 2 or logits.shape[1] != layout.total:
-        raise ShapeError(f"logits shape {logits.shape} vs layout total {layout.total}")
+def _block_softmax(logits: np.ndarray, sizes, targets):
+    """(probabilities [B,N], log-sum-exp [B], targets [B]) of each row's
+    softmax over the block that holds its target, with `sizes` the block
+    sizes in column order; other columns are masked to -inf, so 0."""
+    ends = np.cumsum(sizes)
+    if logits.ndim != 2 or logits.shape[1] != ends[-1]:
+        raise ShapeError(f"logits shape {logits.shape} vs block sizes {tuple(sizes)}")
     b, n = logits.shape
-    lang = np.asarray(lang, dtype=np.int64)
-    if lang.shape != (b,):
-        raise ShapeError(f"language ids shape {lang.shape}, expected ({b},)")
-    if ((lang < 0) | (lang >= len(layout.blocks))).any():
-        raise ValidationError(f"language ids {lang.tolist()} outside [0, {len(layout.blocks)})")
-    bounds = np.asarray(layout.blocks)[lang]
-    cols = np.arange(n)
-    z = np.where((cols >= bounds[:, :1]) & (cols < bounds[:, 1:]), logits, -np.inf)
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    s = e.sum(axis=1, keepdims=True)
-    return e / s, (m + np.log(s))[:, 0], bounds
-
-
-def block_softmax(activations: np.ndarray, layout: BlockLayout, lang) -> np.ndarray:
-    """Softmax over each item's active language block; zero elsewhere.
-
-    Plain array function (the differentiable path is the fused
-    block_cross_entropy)."""
-    return _block_softmax(np.asarray(activations, dtype=np.float64), layout, lang)[0]
-
-
-def block_cross_entropy(logits: Tensor, layout: BlockLayout, lang, targets) -> Tensor:
-    """Mean cross-entropy of each item's target under its active block's
-    softmax, computed in fused log-sum-exp form."""
-    probs, lse, bounds = _block_softmax(logits.value, layout, lang)
-    b = probs.shape[0]
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (b,):
         raise ShapeError(f"targets shape {targets.shape}, expected ({b},)")
-    outside = (targets < bounds[:, 0]) | (targets >= bounds[:, 1])
-    if outside.any():
-        raise ValidationError(f"targets {targets[outside].tolist()} outside their language blocks")
+    if ((targets < 0) | (targets >= n)).any():
+        raise ValidationError(f"targets {targets.tolist()} outside [0, {n})")
+    block = np.searchsorted(ends, np.arange(n), side="right")  # of each column
+    z = np.where(block == block[targets, None], logits, -np.inf)
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    return e / s, (m + np.log(s))[:, 0], targets
+
+
+def block_softmax(activations: np.ndarray, sizes, targets) -> np.ndarray:
+    """Softmax over the block of each item's target; zero elsewhere.
+
+    Plain array function (the differentiable path is the fused
+    block_cross_entropy)."""
+    return _block_softmax(np.asarray(activations, dtype=np.float64), sizes, targets)[0]
+
+
+def block_cross_entropy(logits: Tensor, sizes, targets) -> Tensor:
+    """Mean cross-entropy of each item's target under the softmax of the
+    block that holds it, computed in fused log-sum-exp form."""
+    probs, lse, targets = _block_softmax(logits.value, sizes, targets)
+    b = probs.shape[0]
     rows = np.arange(b)
     out = Tensor((lse - logits.value[rows, targets]).mean(), (logits,))
 

@@ -132,14 +132,13 @@ def test_criterion_1_gradient_correctness():
     worst = {}
     for mode in ("one", "block"):
         cfg = dataclasses.replace(cfg_base, softmax_mode=mode)
-        lang = [0, 1, 0, 1] if mode == "block" else [0, 0, 0, 0]
         with tk.float64_mode():
             pt = {n: tk.Tensor(p) for n, p in build_network(cfg).items()}
             b, lens = _batch_array(seqs, cfg)
 
             def loss_fn():
                 e, out = _forward_graph(pt, cfg, tk.Tensor(b.copy()), lens)
-                total, _, mse = total_loss(out, e, [0, 2, 0, 2], lang, cfg.layout, 0.8)
+                total, _, mse = total_loss(out, e, [0, 2, 0, 2], cfg.layout, 0.8)
                 assert mse > 0
                 return total
 
@@ -156,17 +155,17 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_block_softmax():
     rng = np.random.default_rng(1)
-    layout = tk.BlockLayout(((0, 4), (4, 9)))
-    single = tk.BlockLayout.single(9)
+    blocks = ((0, 4), (4, 9))
+    sizes = tuple(end - begin for begin, end in blocks)
     sums_ok = inactive_ok = agree_ok = True
     for _ in range(1000):
         z = rng.normal(scale=3.0, size=(1, 9))
         lang = int(rng.integers(0, 2))
-        p = tk.block_softmax(z, layout, [lang])[0]
-        begin, end = layout.blocks[lang]
+        begin, end = blocks[lang]
+        p = tk.block_softmax(z, sizes, [begin])[0]  # the block's first word as target
         sums_ok &= abs(p[begin:end].sum() - 1.0) <= 1e-6
         inactive_ok &= (np.delete(p, np.arange(begin, end)) == 0.0).all()
-        full = tk.block_softmax(z, single, [0])[0]
+        full = tk.block_softmax(z, (9,), [0])[0]
         e = np.exp(z[0] - z[0].max())
         agree_ok &= np.abs(full - e / e.sum()).max() <= 1e-7
     ok = sums_ok and inactive_ok and agree_ok
@@ -452,8 +451,9 @@ def monolingual_runs(desk_runs):
     keyword's templates in the code-switching utterances."""
     bundle = desk_runs[(SEEDS[0], 0.8)]["bundle"]
     runs = {}
+    language_of = bundle.spec.word_language
     for language in (0, 1):
-        insts = [i for i in bundle.train_instances if i.language_id == language]
+        insts = [i for i in bundle.train_instances if language_of(i.word_id) == language]
         first = min(i.word_id for i in insts)
         insts = [dataclasses.replace(i, word_id=i.word_id - first) for i in insts]
         num_words = len({i.word_id for i in insts})

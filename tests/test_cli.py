@@ -313,7 +313,7 @@ class TestErrorHandling:
         [
             ("train", "blob", None),
             ("train", "word_id", "x"),
-            ("train", "language_id", 7),
+            ("train", "word_id", 99),
             ("ground_truth", "word_id", 99),
             ("ground_truth", "word_id", "x"),
             ("ground_truth", "utterance_id", 10**6),
@@ -325,7 +325,7 @@ class TestErrorHandling:
         ids=[
             "no-blob",
             "word_id-str",
-            "language_id-7",
+            "word_id-99",
             "gt-word_id-99",
             "gt-word_id-str",
             "gt-utterance_id-unknown",
@@ -388,13 +388,21 @@ class TestErrorHandling:
             ("utterance-dropped", "does not rank each manifest utterance once"),
             ("utterance-renamed", "does not rank each manifest utterance once"),
             ("ranks-all-1", "has ranks other than 1.."),
-            ("keyword-unknown", "keyword 99 is not a word of the corpus spec"),
+            ("keyword-unknown", "ranks keywords [0, 1, 2, 99], not the words with templates"),
+            ("keyword-dropped", "ranks keywords [0, 1, 2], not the words with templates [0, 1, 2, 3]"),
         ],
-        ids=["utterance-dropped", "utterance-renamed", "ranks-all-1", "keyword-unknown"],
+        ids=[
+            "utterance-dropped",
+            "utterance-renamed",
+            "ranks-all-1",
+            "keyword-unknown",
+            "keyword-dropped",
+        ],
     )
     def test_results_that_do_not_match_the_corpus(self, config_file, case, fragment):
         """Well-formed records that rank another set of utterances, out of
-        order, or a keyword the corpus spec does not have."""
+        order, a keyword the corpus has no templates for, or leave out a
+        keyword it has."""
         sdtw = ["--system", "sdtw", "--fusion", "none"]
         run(["synth"], config_file)
         run([*sdtw, "search"], config_file)
@@ -404,6 +412,8 @@ class TestErrorHandling:
         last_keyword = records[-1]["keyword_id"]
         if case == "utterance-dropped":
             records = [r for r in records if r["utterance_id"] != 1]
+        elif case == "keyword-dropped":
+            records = [r for r in records if r["keyword_id"] != last_keyword]
         for r in records:
             if case == "utterance-renamed" and r["utterance_id"] == 1:
                 r["utterance_id"] = 777

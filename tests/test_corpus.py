@@ -136,6 +136,16 @@ class TestManifestRoundTrip:
         save_manifest(bundle, tmp_path)
         assert load_manifest(tmp_path) == bundle
 
+    def test_language_id_of_older_manifests_is_ignored(self, tmp_path):
+        bundle = synth_corpus(small_spec())
+        save_manifest(bundle, tmp_path)
+        index = json.loads((tmp_path / "manifest.json").read_text())
+        for rec in index["train"] + index["templates"]:
+            assert "language_id" not in rec
+            rec["language_id"] = bundle.spec.word_language(rec["word_id"])
+        (tmp_path / "manifest.json").write_text(json.dumps(index))
+        assert load_manifest(tmp_path) == bundle
+
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FormatError):
             load_manifest(tmp_path)

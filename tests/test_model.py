@@ -19,7 +19,6 @@ from awekit.errors import (
     FormatError,
     IncompatibleModelError,
     IntegrityError,
-    TooShortError,
     ValidationError,
 )
 from awekit.features import FeatureSequence
@@ -57,8 +56,8 @@ class TestConfig:
     def test_layout_modes(self):
         one = dataclasses.replace(TINY, softmax_mode="one").layout
         block = dataclasses.replace(TINY, softmax_mode="block").layout
-        assert one.blocks == ((0, 5),)
-        assert block.blocks == ((0, 2), (2, 5))
+        assert one == (5,)
+        assert block == (2, 3)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -209,19 +208,17 @@ class TestTotalLoss:
         # build components whose values we can pin: use mse directly and
         # fake CE via single-class blocks (CE of a 1-class block is 0);
         # row 0 is the anchor, row 1 its partner
-        layout = tk.BlockLayout(((0, 1), (1, 2)))
         logits = tk.Tensor(np.array([[0.3, 0.1], [0.2, 0.4]]))
         emb = tk.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))  # mse = (1 + 1) / 2 = 1.0
-        total, ce_sum, mse_val = total_loss(logits, emb, [0, 1], [0, 1], layout, 0.8)
+        total, ce_sum, mse_val = total_loss(logits, emb, [0, 1], (1, 1), 0.8)
         assert ce_sum == pytest.approx(0.0, abs=1e-12)
         assert mse_val == pytest.approx(1.0)
         assert float(total.value) == pytest.approx(0.8)
 
     def test_two_class_ln2(self):
-        layout = tk.BlockLayout.single(2)
         logits = tk.Tensor(np.zeros((2, 2)))
         emb = tk.Tensor(np.zeros((2, 3)))
-        total, ce_sum, mse_val = total_loss(logits, emb, [0, 1], [0, 0], layout, 0.8)
+        total, ce_sum, mse_val = total_loss(logits, emb, [0, 1], (2,), 0.8)
         assert ce_sum == pytest.approx(2 * np.log(2))
         assert mse_val == 0.0
         assert float(total.value) == pytest.approx(2 * np.log(2))
@@ -231,18 +228,18 @@ class TestTotalLoss:
         # separate forward passes: CE(anchors) + CE(partners) + alpha * MSE
         cfg = dataclasses.replace(TINY, softmax_mode="block")
         anchors, partners = seqs([6, 11], seed=12), seqs([9, 7], seed=13)
-        targets, lang = [0, 2], [0, 1]
+        targets = [0, 2]
         with tk.float64_mode():
             params = build_network(cfg)
             (e1, out1), (e2, out2) = forward(params, cfg, anchors), forward(params, cfg, partners)
             ce = sum(
-                float(tk.block_cross_entropy(tk.Tensor(out), cfg.layout, lang, targets).value)
+                float(tk.block_cross_entropy(tk.Tensor(out), cfg.layout, targets).value)
                 for out in (out1, out2)
             )
             mse = float(tk.mse(tk.Tensor(e1), tk.Tensor(e2)).value)
             emb, logits = forward(params, cfg, anchors + partners)
             total, ce_sum, mse_val = total_loss(
-                tk.Tensor(logits), tk.Tensor(emb), targets * 2, lang * 2, cfg.layout, 0.8
+                tk.Tensor(logits), tk.Tensor(emb), targets * 2, cfg.layout, 0.8
             )
         assert mse > 0
         np.testing.assert_allclose([ce_sum, mse_val], [ce, mse], rtol=1e-5)
@@ -265,7 +262,7 @@ def test_training_step_graph_is_freed_without_gc():
         for lengths in ([7, 9, 8, 9], [12, 10, 11, 12]):
             batch, lens = _batch_array(seqs(lengths, seed=4), TINY)
             emb, logits = _forward_graph(pt, TINY, tk.Tensor(batch, requires_grad=False), lens)
-            part, _, _ = total_loss(logits, emb, [0, 1, 0, 1], [0, 0, 0, 0], TINY.layout, 0.8)
+            part, _, _ = total_loss(logits, emb, [0, 1, 0, 1], TINY.layout, 0.8)
             part = part.scale(0.5)
             loss = part if loss is None else loss + part
         loss.backward()
@@ -300,7 +297,7 @@ class TestGradients:
 
             def loss_fn():
                 e, out = _forward_graph(pt, cfg, tk.Tensor(b.copy()), lens)
-                total, _, mse = total_loss(out, e, [0, 2, 0, 2], [0, 1, 0, 1], cfg.layout, 0.8)
+                total, _, mse = total_loss(out, e, [0, 2, 0, 2], cfg.layout, 0.8)
                 assert mse > 0
                 return total
 
@@ -315,9 +312,9 @@ class TestGradients:
 
         b, lens = _batch_array(seqs([8], seed=5), cfg)
         e, out = _forward_graph(pt, cfg, tk.Tensor(b), lens)
-        # single item in language 0 -> columns of the language-1 block
-        # (indices 2..4) must receive exactly zero gradient
-        loss = tk.block_cross_entropy(out, cfg.layout, [0], [1])
+        # single item of word 1, in language 0 -> columns of the language-1
+        # block (indices 2..4) must receive exactly zero gradient
+        loss = tk.block_cross_entropy(out, cfg.layout, [1])
         loss.backward()
         np.testing.assert_array_equal(pt["fc.w"].grad[:, 2:], 0.0)
         np.testing.assert_array_equal(pt["fc.b"].grad[2:], 0.0)
@@ -409,7 +406,7 @@ def word_pairs(lengths):
     for word, pair in enumerate(lengths):
         for speaker, frames in enumerate(pair):
             (features,) = seqs([frames], seed=10 * word + speaker)
-            out.append(WordInstance(word, speaker, int(word >= 2), features))
+            out.append(WordInstance(word, speaker, features))
     return out
 
 
@@ -452,8 +449,7 @@ class TestSplitStep:
             batch, lens = _batch_array([it.features for it in items], self.CFG)
             emb, logits = _forward_graph(pt, self.CFG, tk.Tensor(batch), lens)
             targets = [it.word_id for it in items]
-            lang = [it.language_id for it in items]
-            loss, ce, mse = total_loss(logits, emb, targets, lang, self.CFG.layout, 0.8)
+            loss, ce, mse = total_loss(logits, emb, targets, self.CFG.layout, 0.8)
             loss.backward()
         # 4 pairs each; the shorter half is padded to 9 frames, not 14
         assert [s[0] for s in shapes] == [8, 8] and [s[-1] for s in shapes] == [9, 14]

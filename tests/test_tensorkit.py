@@ -423,14 +423,14 @@ class TestGapMasked:
 
 
 class TestBlockSoftmax:
-    LAYOUT = tk.BlockLayout(((0, 2), (2, 4)))
+    SIZES = (2, 2)
 
     def test_equal_activations_first_block(self):
-        out = tk.block_softmax(np.array([[1.0, 1.0, 2.0, 0.0]]), self.LAYOUT, [0])
+        out = tk.block_softmax(np.array([[1.0, 1.0, 2.0, 0.0]]), self.SIZES, [0])
         np.testing.assert_allclose(out[0], [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
     def test_second_block_hand_values(self):
-        out = tk.block_softmax(np.array([[1.0, 1.0, 2.0, 0.0]]), self.LAYOUT, [1])
+        out = tk.block_softmax(np.array([[1.0, 1.0, 2.0, 0.0]]), self.SIZES, [2])
         e2 = np.exp(2.0)
         np.testing.assert_allclose(
             out[0], [0.0, 0.0, e2 / (e2 + 1), 1 / (e2 + 1)], atol=1e-9
@@ -441,71 +441,75 @@ class TestBlockSoftmax:
     def test_single_block_equals_softmax(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(50, 6)) * 3
-        layout = tk.BlockLayout.single(6)
-        out = tk.block_softmax(a, layout, np.zeros(50, int))
+        out = tk.block_softmax(a, (6,), np.zeros(50, int))
         e = np.exp(a - a.max(axis=1, keepdims=True))
         np.testing.assert_allclose(out, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
     def test_active_block_sums_to_one(self):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(20, 4)) * 10
-        lang = rng.integers(0, 2, size=20)
-        out = tk.block_softmax(a, self.LAYOUT, lang)
+        targets = rng.integers(0, 4, size=20)
+        out = tk.block_softmax(a, self.SIZES, targets)
         for i in range(20):
-            begin, end = self.LAYOUT.blocks[lang[i]]
-            assert out[i, begin:end].sum() == pytest.approx(1.0, abs=1e-6)
-            inactive = np.concatenate([out[i, :begin], out[i, end:]])
+            begin = 2 * (targets[i] // 2)
+            assert out[i, begin : begin + 2].sum() == pytest.approx(1.0, abs=1e-6)
+            inactive = np.concatenate([out[i, :begin], out[i, begin + 2 :]])
             assert (inactive == 0).all()
 
-    @pytest.mark.parametrize("lang", [-1, 2])
-    def test_language_outside_layout(self, lang):
-        # -1 would otherwise index the last block and 2 past the end
-        with pytest.raises(ValidationError, match="language ids"):
-            tk.block_softmax(np.zeros((2, 4)), self.LAYOUT, [0, lang])
-        with pytest.raises(ValidationError, match="language ids"):
-            tk.block_cross_entropy(tk.Tensor(np.zeros((2, 4))), self.LAYOUT, [0, lang], [0, 0])
+    @pytest.mark.parametrize("target", [-1, 4])
+    def test_target_outside_layout(self, target):
+        # -1 would otherwise index the last column and 4 past the end
+        with pytest.raises(ValidationError, match=r"outside \[0, 4\)"):
+            tk.block_softmax(np.zeros((2, 4)), self.SIZES, [0, target])
+        with pytest.raises(ValidationError, match=r"outside \[0, 4\)"):
+            tk.block_cross_entropy(tk.Tensor(np.zeros((2, 4))), self.SIZES, [0, target])
 
-    def test_layout_validation(self):
-        with pytest.raises(ValidationError):
-            tk.BlockLayout(((0, 2), (3, 4)))  # gap
-        with pytest.raises(ValidationError):
-            tk.BlockLayout(((1, 2),))  # does not start at 0
+    def test_logits_wider_than_layout(self):
+        with pytest.raises(ShapeError, match="block sizes"):
+            tk.block_softmax(np.zeros((2, 5)), self.SIZES, [0, 0])
 
 
 class TestCrossEntropy:
     def test_two_class_equal_logits(self):
         logits = tk.Tensor(np.zeros((1, 2)))
-        loss = tk.block_cross_entropy(logits, tk.BlockLayout.single(2), [0], [0])
+        loss = tk.block_cross_entropy(logits, (2,), [0])
         assert float(loss.value) == pytest.approx(np.log(2), abs=1e-6)
         assert float(loss.value) == pytest.approx(0.6931, abs=1e-4)
 
     def test_certain_prediction_loss_vanishes(self):
         logits = tk.Tensor(np.array([[50.0, 0.0]]))
-        loss = tk.block_cross_entropy(logits, tk.BlockLayout.single(2), [0], [0])
+        loss = tk.block_cross_entropy(logits, (2,), [0])
         assert float(loss.value) < 1e-8
 
-    def test_target_outside_active_block(self):
-        layout = tk.BlockLayout(((0, 2), (2, 4)))
-        with pytest.raises(ValidationError):
-            tk.block_cross_entropy(tk.Tensor(np.zeros((1, 4))), layout, [0], [3])
+    def test_hand_computed_over_both_blocks(self):
+        """Each row's loss is logsumexp over the block of its target minus
+        the target's logit: columns 0-1 for targets 0-1, 2-4 for 2-4."""
+        rng = np.random.default_rng(15)
+        targets = [0, 4, 1, 2, 3, 2]
+        with tk.float64_mode():
+            logits = rng.normal(size=(6, 5)) * 3
+            loss = tk.block_cross_entropy(tk.Tensor(logits), (2, 3), targets)
+        expected = [
+            np.log(np.exp(row[:2] if t < 2 else row[2:]).sum()) - row[t]
+            for row, t in zip(logits, targets)
+        ]
+        assert abs(float(loss.value) - np.mean(expected)) < 1e-12
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(9)
         with tk.float64_mode():
             logits = tk.Tensor(rng.normal(size=(3, 4)))
-            layout = tk.BlockLayout.single(4)
 
             def loss_fn():
-                return tk.block_cross_entropy(logits, layout, [0, 0, 0], [1, 3, 0])
+                return tk.block_cross_entropy(logits, (4,), [1, 3, 0])
 
             assert grad_check(loss_fn, {"logits": logits}) < 1e-6
 
     def test_block_mode_gradient_is_zero_outside_active_block(self):
         rng = np.random.default_rng(10)
         with tk.float64_mode():
-            layout = tk.BlockLayout(((0, 2), (2, 4)))
             logits = tk.Tensor(rng.normal(size=(2, 4)))
-            loss = tk.block_cross_entropy(logits, layout, [0, 1], [1, 2])
+            loss = tk.block_cross_entropy(logits, (2, 2), [1, 2])
             loss.backward()
         assert (logits.grad[0, 2:] == 0).all()
         assert (logits.grad[1, :2] == 0).all()
