@@ -1,7 +1,8 @@
-"""Command-line pipeline: synth -> train -> search -> eval. Each line of
-search's results.jsonl after the header holds system, keyword_id,
-utterance_id, score, rank, and the frames [start_frame, end_frame) of the
-best match in the utterance."""
+"""Command-line pipeline: synth -> train -> search -> eval. search's
+results.jsonl opens with a header naming the system; each later line holds
+keyword_id, utterance_id, score and the frames [start_frame, end_frame) of
+the best match in the utterance, in `RankedList.ranked` order per keyword
+(ascending score, ties by utterance id), the order eval ranks them in."""
 
 import dataclasses
 import json
@@ -131,19 +132,12 @@ def train(cfg: RunConfig):
     )
 
 
-def _templates_by_keyword(bundle, limit):
-    grouped = {}
-    for inst in bundle.template_instances:
-        grouped.setdefault(inst.word_id, []).append(inst.features)
-    return {w: feats[:limit] for w, feats in sorted(grouped.items())}
-
-
 @main.command()
 @click.pass_obj
 def search(cfg: RunConfig):
     """Rank utterances per keyword with the selected system."""
     bundle = _load_bundle(cfg)
-    templates = _templates_by_keyword(bundle, cfg.templates_per_keyword)
+    templates = corpus_mod.templates_by_keyword(bundle, cfg.templates_per_keyword)
     if cfg.system == "awe":
         if cfg.fusion != "mean":
             raise ValidationError("system 'awe' supports only fusion 'mean'")
@@ -156,17 +150,9 @@ def search(cfg: RunConfig):
             raise ValidationError("system 'sdtw' supports fusion 'none' or 'dtw'")
         rankings = dtw_mod.sdtw_search(templates, bundle.utterances, fusion=cfg.fusion)
     records = [
-        {
-            "system": cfg.system,
-            "keyword_id": keyword_id,
-            "utterance_id": utt_id,
-            "score": score,
-            "rank": rank,
-            "start_frame": start,
-            "end_frame": end,
-        }
-        for keyword_id in sorted(rankings)
-        for rank, (utt_id, score, start, end) in enumerate(rankings[keyword_id].entries, start=1)
+        {"keyword_id": k, "utterance_id": u, "score": score, "start_frame": start, "end_frame": end}
+        for k in sorted(rankings)
+        for u, score, start, end in rankings[k].entries
     ]
     header = json.dumps({"provenance": cfg.provenance(), "system": cfg.system})
     lines = [header, *(json.dumps(rec, sort_keys=True) for rec in records)]
@@ -175,9 +161,10 @@ def search(cfg: RunConfig):
 
 
 def _read_results(path: Path, system: str) -> dict:
-    """{keyword_id: [(rank, utterance_id, score, start_frame, end_frame), ...]}
+    """{keyword_id: [(utterance_id, score, start_frame, end_frame), ...]}
     from a results file whose header line names `system` and that scores
-    each (keyword, utterance) pair once."""
+    each (keyword, utterance) pair once; other keys (an older file's `rank`
+    and `system`) are ignored."""
     entries = {}
     seen = set()
     with open(path, "rb") as f:
@@ -188,8 +175,8 @@ def _read_results(path: Path, system: str) -> dict:
                 if number == 1:
                     found = rec["system"]
                 else:
-                    keyword, rank, utterance, start, end = codec.ints(
-                        rec, "keyword_id", "rank", "utterance_id", "start_frame", "end_frame"
+                    keyword, utterance, start, end = codec.ints(
+                        rec, "keyword_id", "utterance_id", "start_frame", "end_frame"
                     )
                     if type(rec["score"]) not in (int, float) or not np.isfinite(rec["score"]):
                         raise TypeError(f"score {rec['score']!r} is not a finite number")
@@ -198,7 +185,7 @@ def _read_results(path: Path, system: str) -> dict:
                             f"{path} line {number} repeats keyword {keyword}, utterance {utterance}"
                         )
                     seen.add((keyword, utterance))
-                    entries.setdefault(keyword, []).append((rank, utterance, rec["score"], start, end))
+                    entries.setdefault(keyword, []).append((utterance, rec["score"], start, end))
             except (KeyError, TypeError) as e:
                 raise FormatError(f"{where}: {e!r}") from e
             if number == 1 and found != system:
@@ -222,18 +209,13 @@ def eval_cmd(cfg: RunConfig):
         )
     rankings = {}
     for kw, entries in entries_by_kw.items():
-        entries.sort()
-        where = f"{cfg.results_path}: keyword {kw}"
-        if sorted(e[1] for e in entries) != utterance_ids:
-            raise IntegrityError(f"{where} does not rank each manifest utterance once")
-        if [e[0] for e in entries] != list(range(1, len(entries) + 1)):
-            raise IntegrityError(f"{where} has ranks other than 1..{len(entries)}")
-        if kw not in rel:
-            continue  # keyword never occurs in the search content
-        rankings[kw] = matcher.RankedList(keyword_id=kw, entries=tuple(e[1:] for e in entries))
-    language = {w: bundle.spec.word_language(w) for w in range(bundle.spec.num_words)}
+        if sorted(e[0] for e in entries) != utterance_ids:
+            raise IntegrityError(
+                f"{cfg.results_path}: keyword {kw} does not rank each manifest utterance once"
+            )
+        rankings[kw] = matcher.RankedList.ranked(kw, entries)
     report = metrics.evaluate(rankings, rel)
-    groups = metrics.group_means(report, language)
+    groups = metrics.group_means(report, bundle.spec.word_language)
     codec.write_json(
         cfg.report_path, {"provenance": cfg.provenance(), **codec.dump(report), "groups": groups}
     )

@@ -197,7 +197,7 @@ def synth_corpus(spec: CorpusSpec) -> CorpusBundle:
         k = int(rng.integers(wpu_lo, wpu_hi + 1))
         words = list(rng.integers(0, spec.num_words, size=k))
         langs = {spec.word_language(int(w)) for w in words}
-        if k >= 2 and len(langs) == 1 and spec.num_words_lang_a and spec.num_words_lang_b:
+        if k >= 2 and len(langs) == 1:
             # force code-switching: swap the last word into the missing language
             other = 1 - langs.pop()
             base = 0 if other == 0 else spec.num_words_lang_a
@@ -232,6 +232,15 @@ def synth_corpus(spec: CorpusSpec) -> CorpusBundle:
         utterances=tuple(utterances),
         ground_truth=tuple(ground_truth),
     )
+
+
+def templates_by_keyword(bundle: CorpusBundle, limit: int) -> dict[int, list[FeatureSequence]]:
+    """{word_id: the word's first `limit` template sequences, in manifest
+    order}, in word order. Reads no frames."""
+    grouped: dict[int, list[FeatureSequence]] = {}
+    for inst in bundle.template_instances:
+        grouped.setdefault(inst.word_id, []).append(inst.features)
+    return {w: feats[:limit] for w, feats in sorted(grouped.items())}
 
 
 def validate_bundle(bundle: CorpusBundle) -> None:

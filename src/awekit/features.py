@@ -1,12 +1,14 @@
 """Frame-feature sequences and fixed-length padding or clipping."""
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ValidationError
 
-DEFAULT_FRAME_SHIFT = 0.010
+# Seconds between the frames of every sequence, so of every window too.
+FRAME_SHIFT = 0.010
 
 
 def _checked_frames(frames) -> np.ndarray:
@@ -38,11 +40,11 @@ class _Frames:
 
 @dataclass(frozen=True)
 class FeatureSequence:
-    """T x D matrix of frame features plus the frame shift in seconds.
+    """T x D matrix of frame features, FRAME_SHIFT seconds apart.
     `frames` may be given as a loader called at its first access."""
 
     frames: np.ndarray = _Frames()
-    frame_shift: float = DEFAULT_FRAME_SHIFT
+    frame_shift: ClassVar[float] = FRAME_SHIFT
 
     @property
     def num_frames(self) -> int:
@@ -55,11 +57,7 @@ class FeatureSequence:
     def __eq__(self, other):
         if not isinstance(other, FeatureSequence):
             return NotImplemented
-        return (
-            self.frame_shift == other.frame_shift
-            and self.frames.shape == other.frames.shape
-            and np.array_equal(self.frames, other.frames)
-        )
+        return self.frames.shape == other.frames.shape and np.array_equal(self.frames, other.frames)
 
 
 def pad_or_clip(seq: FeatureSequence, target_frames: int) -> FeatureSequence:
@@ -79,4 +77,4 @@ def pad_or_clip(seq: FeatureSequence, target_frames: int) -> FeatureSequence:
     else:
         start = (t - target_frames) // 2
         frames = seq.frames[start : start + target_frames]
-    return FeatureSequence(frames=frames, frame_shift=seq.frame_shift)
+    return FeatureSequence(frames=frames)

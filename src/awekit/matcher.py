@@ -7,11 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .features import FeatureSequence, pad_or_clip
+from .features import FRAME_SHIFT, FeatureSequence, pad_or_clip
 from .model import embed_sequences
 
 # Cost assigned when cosine similarity is undefined (zero-norm vector).
 ZERO_NORM_COST = 1.0
+# Widest window: 10 s at FRAME_SHIFT, 25 times the corpus's longest word.
+MAX_WINDOW_FRAMES = 1000
 
 
 @dataclass(frozen=True)
@@ -24,24 +26,18 @@ class WindowConfig:
     sma_len: int = 5
 
     def __post_init__(self):
-        if self.window_seconds <= 0:
-            raise ValidationError(f"window_seconds must be > 0, got {self.window_seconds}")
         if self.stride_frames < 1 or self.sma_len < 1:
             raise ValidationError("stride_frames and sma_len must be >= 1")
+        self.window_frames()  # refuses a width outside 1..MAX_WINDOW_FRAMES
 
-    def window_frames(self, frame_shift: float) -> int:
-        w = int(round(self.window_seconds / frame_shift))
-        if w < 1:
+    def window_frames(self, frame_shift: float = FRAME_SHIFT) -> int:
+        frames = self.window_seconds / frame_shift
+        if not 0.5 < frames <= MAX_WINDOW_FRAMES + 0.5:  # rounds to 1..MAX_WINDOW_FRAMES
             raise ValidationError(
-                f"window of {self.window_seconds}s spans no frames at shift {frame_shift}s"
+                f"window.window_seconds {self.window_seconds} must span 1 to "
+                f"{MAX_WINDOW_FRAMES} frames of {frame_shift} s"
             )
-        return w
-
-
-@dataclass(frozen=True)
-class KeywordQuery:
-    keyword_id: int
-    fused: np.ndarray  # [d]
+        return round(frames)
 
 
 @dataclass(frozen=True)
@@ -58,19 +54,14 @@ class RankedList:
 
 
 def window_segments(seq: FeatureSequence, cfg: WindowConfig):
-    """Fixed-size windows at regular stride; trailing partials zero-padded.
-
-    Returns a list of (start_frame, FeatureSequence of exactly W frames).
-    """
-    t = seq.num_frames
-    if t < 1:
-        raise ValidationError("cannot window an empty sequence")
-    w = cfg.window_frames(seq.frame_shift)
-    out = []
-    for start in range(0, t, cfg.stride_frames):
-        window = FeatureSequence(frames=seq.frames[start : start + w], frame_shift=seq.frame_shift)
-        out.append((start, pad_or_clip(window, w)))
-    return out
+    """[(start_frame, FeatureSequence of exactly W frames)] at every
+    stride_frames-th frame; a window that runs past the end is zero-padded."""
+    w = cfg.window_frames()
+    padded = np.concatenate([seq.frames, np.zeros((w - 1, seq.dim), dtype=np.float32)])
+    return [
+        (start, FeatureSequence(frames=padded[start : start + w]))
+        for start in range(0, seq.num_frames, cfg.stride_frames)
+    ]
 
 
 def unit_rows(m) -> tuple[np.ndarray, np.ndarray]:
@@ -101,11 +92,12 @@ def cosine_cost(xs, ys) -> np.ndarray:
 
 
 def sma(trace, k: int) -> np.ndarray:
-    """Trailing simple moving average along the last axis; windows at the
-    head shrink to the number of available points."""
+    """Trailing simple moving average along the last axis over at most k
+    points: a window shrinks to the points available."""
     if k < 1:
         raise ValidationError(f"sma window must be >= 1, got {k}")
     trace = np.asarray(trace, dtype=np.float64)
+    k = min(k, trace.shape[-1])
     csum = np.cumsum(np.concatenate([np.zeros_like(trace[..., :1]), trace], axis=-1), axis=-1)
     idx = np.arange(trace.shape[-1])
     lo = np.maximum(0, idx - k + 1)
@@ -120,22 +112,19 @@ def fuse_templates_mean(embeddings: np.ndarray) -> np.ndarray:
     return embs.mean(axis=0)
 
 
-def make_query(params, cfg, window_cfg: WindowConfig, templates) -> list[KeywordQuery]:
-    """One query per keyword of `templates` ({keyword_id: [FeatureSequence]}),
-    in keyword order: every template is padded or clipped to the window
-    size, all are embedded in one call, and each keyword's embeddings are
-    fused by their mean."""
+def make_query(params, cfg, window_cfg: WindowConfig, templates) -> dict[int, np.ndarray]:
+    """{keyword_id: fused [d] vector} for the keywords of `templates`
+    ({keyword_id: [FeatureSequence]}), in keyword order: every template is
+    padded or clipped to the window size, all are embedded in one call, and
+    each keyword's embeddings are fused by their mean."""
     keywords = sorted(templates)
     flat = [t for k in keywords for t in templates[k]]
     if not flat:
         raise ValidationError("no templates to embed")
-    w = window_cfg.window_frames(flat[0].frame_shift)
+    w = window_cfg.window_frames()
     embs = embed_sequences(params, cfg, [pad_or_clip(t, w) for t in flat])
     parts = np.split(embs, np.cumsum([len(templates[k]) for k in keywords])[:-1])
-    return [
-        KeywordQuery(keyword_id=k, fused=fuse_templates_mean(part))
-        for k, part in zip(keywords, parts)
-    ]
+    return {k: fuse_templates_mean(part) for k, part in zip(keywords, parts)}
 
 
 def embed_windows(params, cfg, seqs, window_cfg: WindowConfig):
@@ -150,18 +139,19 @@ def embed_windows(params, cfg, seqs, window_cfg: WindowConfig):
 
 
 def search(queries, utterances, params, cfg, window_cfg: WindowConfig):
-    """Rank utterances per keyword by minimum smoothed cosine cost; the
+    """Rank utterances per keyword of `queries` ({keyword_id: fused [d]
+    vector}, as `make_query` returns) by minimum smoothed cosine cost; the
     span of an entry is the window at that minimum, clipped to the
     utterance. Returns {keyword_id: RankedList}."""
     if not queries:
         return {}
     embs, starts, bounds = embed_windows(params, cfg, [seq for _, seq in utterances], window_cfg)
-    costs = cosine_cost(np.stack([q.fused for q in queries]), embs)  # [K, N]
+    costs = cosine_cost(np.stack(list(queries.values())), embs)  # [K, N]
+    width = window_cfg.window_frames()
     scored = [[] for _ in queries]
     for (utt_id, seq), lo, hi in zip(utterances, bounds[:-1], bounds[1:]):
-        width = window_cfg.window_frames(seq.frame_shift)
         smoothed = sma(costs[:, lo:hi], window_cfg.sma_len)
         for entries, row, best in zip(scored, smoothed, np.argmin(smoothed, axis=1)):
             start = int(starts[lo + best])
             entries.append((utt_id, float(row[best]), start, min(start + width, seq.num_frames)))
-    return {q.keyword_id: RankedList.ranked(q.keyword_id, e) for q, e in zip(queries, scored)}
+    return {k: RankedList.ranked(k, e) for k, e in zip(queries, scored)}

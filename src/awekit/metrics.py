@@ -51,11 +51,13 @@ def precision_at_k(ranked: RankedList, relevant: set, k: int) -> float:
 def evaluate(rankings: dict, relevance: dict) -> MetricsReport:
     """Per-keyword AP/P@5/P@N plus unweighted means across keywords.
 
-    relevance maps keyword_id -> set of utterance ids containing it."""
+    relevance maps keyword_id -> set of utterance ids containing it. A
+    keyword absent from it never occurs in the search content: its AP, a
+    mean over no relevant utterances, is undefined, so it is not scored."""
     per_keyword = []
     for keyword_id in sorted(rankings):
         if keyword_id not in relevance:
-            raise ValidationError(f"no relevance judgments for keyword {keyword_id}")
+            continue
         relevant = set(relevance[keyword_id])
         ranked = rankings[keyword_id]
         per_keyword.append(
@@ -84,11 +86,11 @@ def _means(ms) -> dict:
     }
 
 
-def group_means(report: MetricsReport, group_language: dict) -> dict:
-    """Unweighted per-language means, mirroring per-group result tables."""
+def group_means(report: MetricsReport, language) -> dict:
+    """Unweighted means per language, `language(keyword_id)`, as in per-group tables."""
     groups: dict[int, list[KeywordMetrics]] = {}
     for m in report.per_keyword:
-        groups.setdefault(group_language[m.keyword_id], []).append(m)
+        groups.setdefault(language(m.keyword_id), []).append(m)
     return {lang: _means(groups[lang]) for lang in sorted(groups)}
 
 

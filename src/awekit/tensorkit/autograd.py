@@ -84,8 +84,6 @@ class Tensor:
                 node._backward(node.grad)
 
     def __add__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
         if self.value.shape != other.value.shape:
             raise ShapeError(f"add shapes differ: {self.value.shape} vs {other.value.shape}")
         out = Tensor(self.value + other.value, (self, other))
@@ -115,6 +113,3 @@ class Tensor:
             self._accumulate(full)
 
         return Tensor(self.value[rows], (self,), backward)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, dtype={self.value.dtype})"

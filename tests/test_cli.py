@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +214,16 @@ class TestErrorHandling:
         assert record["error"] == "ValidationError"
         assert key in record["message"]
 
+    @pytest.mark.parametrize("seconds", [0.004, 10.01, 1e300, 1e308])
+    def test_window_out_of_range(self, tmp_path, seconds):
+        """A window of no frames, or of more than MAX_WINDOW_FRAMES, is
+        refused as the config loads."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"workdir": str(tmp_path / "run"), "window": {"window_seconds": seconds}}))
+        record = error_record(run(["synth"], bad))
+        assert record["error"] == "ValidationError"
+        assert "window.window_seconds" in record["message"]
+
     def test_negative_corpus_seed(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"workdir": str(tmp_path / "run"), "corpus": {"seed": -1}}))
@@ -358,11 +370,10 @@ class TestErrorHandling:
         "case,fragment",
         [
             ("truncated", "is not a result record"),
-            ("rank-str", "is not a result record"),
             ("no-span", "is not a result record"),
             ("duplicate", "repeats keyword"),
         ],
-        ids=["truncated", "rank-str", "no-span", "duplicate"],
+        ids=["truncated", "no-span", "duplicate"],
     )
     def test_bad_results_line(self, config_file, case, fragment):
         sdtw = ["--system", "sdtw", "--fusion", "none"]
@@ -372,7 +383,6 @@ class TestErrorHandling:
         lines = results.read_text().splitlines()
         line = {
             "truncated": lines[-1][: len(lines[-1]) // 2],
-            "rank-str": json.dumps(dict(json.loads(lines[-1]), rank="x")),
             "no-span": json.dumps({k: v for k, v in json.loads(lines[-1]).items() if k != "end_frame"}),
             "duplicate": lines[1],
         }[case]
@@ -387,22 +397,19 @@ class TestErrorHandling:
         [
             ("utterance-dropped", "does not rank each manifest utterance once"),
             ("utterance-renamed", "does not rank each manifest utterance once"),
-            ("ranks-all-1", "has ranks other than 1.."),
             ("keyword-unknown", "ranks keywords [0, 1, 2, 99], not the words with templates"),
             ("keyword-dropped", "ranks keywords [0, 1, 2], not the words with templates [0, 1, 2, 3]"),
         ],
         ids=[
             "utterance-dropped",
             "utterance-renamed",
-            "ranks-all-1",
             "keyword-unknown",
             "keyword-dropped",
         ],
     )
     def test_results_that_do_not_match_the_corpus(self, config_file, case, fragment):
-        """Well-formed records that rank another set of utterances, out of
-        order, a keyword the corpus has no templates for, or leave out a
-        keyword it has."""
+        """Well-formed records that rank another set of utterances, a keyword
+        the corpus has no templates for, or leave out a keyword it has."""
         sdtw = ["--system", "sdtw", "--fusion", "none"]
         run(["synth"], config_file)
         run([*sdtw, "search"], config_file)
@@ -417,8 +424,6 @@ class TestErrorHandling:
         for r in records:
             if case == "utterance-renamed" and r["utterance_id"] == 1:
                 r["utterance_id"] = 777
-            elif case == "ranks-all-1":
-                r["rank"] = 1
             elif case == "keyword-unknown" and r["keyword_id"] == last_keyword:
                 r["keyword_id"] = 99
         results.write_text("".join(line + "\n" for line in [header, *map(json.dumps, records)]))
@@ -442,6 +447,31 @@ class TestErrorHandling:
         record = error_record(run(args, config_file))
         assert record["error"] == "IntegrityError"
         assert f"{rec['blob']} is 7 wide, not 8" in record["message"]
+
+    @pytest.mark.parametrize("case", ["shuffled", "rank-and-system"])
+    def test_results_that_evaluate_alike(self, config_file, case):
+        """Records shuffled within each keyword, or carrying the per-line
+        `rank` and `system` keys of older results files, give the same
+        metrics."""
+        run(["synth"], config_file)
+        run([*SDTW, "search"], config_file)
+        cfg = RunConfig.load(config_file)
+        assert run([*SDTW, "eval"], config_file).exit_code == 0
+        want = cfg.report_path.read_bytes()
+        header, *lines = cfg.results_path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        if case == "shuffled":
+            random.Random(0).shuffle(records)
+            records.sort(key=lambda r: r["keyword_id"])
+            assert records != [json.loads(line) for line in lines]
+        else:
+            for _, group in itertools.groupby(records, key=lambda r: r["keyword_id"]):
+                for rank, r in enumerate(group, start=1):
+                    r.update(rank=rank, system="sdtw")
+        cfg.results_path.write_text("".join(line + "\n" for line in [header, *map(json.dumps, records)]))
+        result = run([*SDTW, "eval"], config_file)
+        assert result.exit_code == 0, result.output
+        assert cfg.report_path.read_bytes() == want
 
     def test_results_of_another_system(self, config_file):
         for cmd in (["synth"], ["train"], ["search"]):

@@ -7,7 +7,6 @@ from awekit.errors import ShapeError, ValidationError
 from awekit.features import FeatureSequence, pad_or_clip
 from awekit.matcher import (
     ZERO_NORM_COST,
-    KeywordQuery,
     WindowConfig,
     cosine_cost,
     embed_windows,
@@ -19,9 +18,9 @@ from awekit.matcher import (
 )
 
 
-def seq(t, d=4, rng=None, shift=0.01):
+def seq(t, d=4, rng=None):
     rng = rng or np.random.default_rng(0)
-    return FeatureSequence(frames=rng.normal(size=(t, d)).astype(np.float32), frame_shift=shift)
+    return FeatureSequence(frames=rng.normal(size=(t, d)).astype(np.float32))
 
 
 class TestWindowConfig:
@@ -110,6 +109,10 @@ class TestSma:
         trace = np.random.default_rng(1).uniform(size=7)
         np.testing.assert_allclose(sma(trace, 1), trace)
 
+    def test_window_longer_than_trace_covers_it(self):
+        traces = np.random.default_rng(12).uniform(size=(3, 7))
+        np.testing.assert_array_equal(sma(traces, 2**63), sma(traces, 7))
+
     def test_rows_smoothed_independently(self):
         traces = np.random.default_rng(11).uniform(size=(4, 8))
         np.testing.assert_array_equal(sma(traces, 3), [sma(t, 3) for t in traces])
@@ -159,14 +162,14 @@ class TestSearch:
         params, cfg = tiny_model
         rng = np.random.default_rng(4)
         word = rng.normal(size=(12, 4)).astype(np.float32)
-        w = self.WCFG.window_frames(0.01)  # 20 frames
+        w = self.WCFG.window_frames()  # 20 frames
         # utterance: word at frame 8 (a multiple of the stride), zeros elsewhere
         utt = np.zeros((40, 4), dtype=np.float32)
         utt[8 : 8 + 12] = word
         template = FeatureSequence(frames=word)
         other = FeatureSequence(frames=rng.normal(size=(40, 4)).astype(np.float32))
-        q = make_query(params, cfg, self.WCFG, {0: [template]})[0]
-        rankings = search([q], [(0, FeatureSequence(frames=utt)), (1, other)], params, cfg, self.WCFG)
+        q = make_query(params, cfg, self.WCFG, {0: [template]})
+        rankings = search(q, [(0, FeatureSequence(frames=utt)), (1, other)], params, cfg, self.WCFG)
         entries = rankings[0].entries
         assert entries[0][0] == 0
         assert entries[0][1] <= 1e-5
@@ -177,8 +180,8 @@ class TestSearch:
         rng = np.random.default_rng(5)
         content = FeatureSequence(frames=rng.normal(size=(30, 4)).astype(np.float32))
         clone = FeatureSequence(frames=content.frames.copy())
-        q = make_query(params, cfg, self.WCFG, {0: [seq(10, d=4, rng=rng)]})[0]
-        rankings = search([q], [(3, content), (1, clone)], params, cfg, self.WCFG)
+        q = make_query(params, cfg, self.WCFG, {0: [seq(10, d=4, rng=rng)]})
+        rankings = search(q, [(3, content), (1, clone)], params, cfg, self.WCFG)
         entries = rankings[0].entries
         assert entries[0][1:] == entries[1][1:]
         assert [e[0] for e in entries] == [1, 3]
@@ -187,9 +190,9 @@ class TestSearch:
         params, cfg = tiny_model
         rng = np.random.default_rng(6)
         utts = [(u, seq(25, d=4, rng=rng)) for u in range(3)]
-        q = make_query(params, cfg, self.WCFG, {0: [seq(10, d=4, rng=rng)]})[0]
-        r1 = search([q], utts, params, cfg, self.WCFG)
-        r2 = search([q], utts, params, cfg, self.WCFG)
+        q = make_query(params, cfg, self.WCFG, {0: [seq(10, d=4, rng=rng)]})
+        r1 = search(q, utts, params, cfg, self.WCFG)
+        r2 = search(q, utts, params, cfg, self.WCFG)
         assert r1[0].entries == r2[0].entries
 
     def test_one_call_per_stage_matches_separate_calls(self, tiny_model):
@@ -199,12 +202,12 @@ class TestSearch:
         rng = np.random.default_rng(8)
         templates = {3: [seq(9, rng=rng), seq(14, rng=rng)], 1: [seq(12, rng=rng)] * 3}
         queries = make_query(params, cfg, self.WCFG, templates)
-        assert [q.keyword_id for q in queries] == [1, 3]
-        for q in queries:
-            w = self.WCFG.window_frames(0.01)
-            fitted = [pad_or_clip(t, w) for t in templates[q.keyword_id]]
+        assert list(queries) == [1, 3]
+        for k, fused in queries.items():
+            w = self.WCFG.window_frames()
+            fitted = [pad_or_clip(t, w) for t in templates[k]]
             alone = fuse_templates_mean(model.embed_sequences(params, cfg, fitted))
-            np.testing.assert_allclose(q.fused, alone, atol=1e-6)
+            np.testing.assert_allclose(fused, alone, atol=1e-6)
         utts = [seq(t, rng=rng) for t in (25, 3, 40)]
         embs, starts, bounds = embed_windows(params, cfg, utts, self.WCFG)
         assert embs.dtype == np.float64
@@ -221,27 +224,28 @@ class TestSearch:
         rng = np.random.default_rng(7)
         word = rng.normal(size=(12, 4)).astype(np.float32)
         template = FeatureSequence(frames=word)
-        q = make_query(params, cfg, self.WCFG, {0: [template]})[0]
+        q = make_query(params, cfg, self.WCFG, {0: [template]})
         base_frames = rng.normal(size=(24, 4)).astype(np.float32)
-        w = self.WCFG.window_frames(0.01)
+        w = self.WCFG.window_frames()
         planted = np.zeros((w, 4), dtype=np.float32)
         planted[:12] = word
         extended = np.concatenate([base_frames, planted])
-        r_base = search([q], [(0, FeatureSequence(frames=base_frames))], params, cfg, self.WCFG)
-        r_ext = search([q], [(0, FeatureSequence(frames=extended))], params, cfg, self.WCFG)
+        r_base = search(q, [(0, FeatureSequence(frames=base_frames))], params, cfg, self.WCFG)
+        r_ext = search(q, [(0, FeatureSequence(frames=extended))], params, cfg, self.WCFG)
         assert r_ext[0].entries[0][1] <= r_base[0].entries[0][1] + 1e-9
 
 
 def brute_force_search(queries, utterances, embed, wcfg):
-    """{keyword_id: [(utt_id, score, start, end)]} with one cosine per
-    (query, window), a trailing mean summed from scratch at every window
-    and the first index of the minimum."""
+    """{keyword_id: [(utt_id, score, start, end)]} for the query map
+    {keyword_id: fused vector}, with one cosine per (query, window), a
+    trailing mean summed from scratch at every window and the first index
+    of the minimum."""
     out = {}
-    for q in queries:
+    for keyword_id, fused in queries.items():
         entries = []
         for utt_id, s in utterances:
             frames = s.frames.astype(np.float64)
-            w = wcfg.window_frames(s.frame_shift)
+            w = wcfg.window_frames()
             starts = list(range(0, len(frames), wcfg.stride_frames))
             costs = []
             for start in starts:
@@ -249,8 +253,8 @@ def brute_force_search(queries, utterances, embed, wcfg):
                 part = frames[start : start + w]
                 window[: len(part)] = part
                 e = embed(window)
-                qn, en = np.sqrt(np.sum(q.fused**2)), np.sqrt(np.sum(e**2))
-                costs.append(ZERO_NORM_COST if qn == 0 or en == 0 else 1.0 - float(q.fused @ e) / (qn * en))
+                qn, en = np.sqrt(np.sum(fused**2)), np.sqrt(np.sum(e**2))
+                costs.append(ZERO_NORM_COST if qn == 0 or en == 0 else 1.0 - float(fused @ e) / (qn * en))
             smoothed = []
             for i in range(len(costs)):
                 lo = max(0, i - wcfg.sma_len + 1)
@@ -261,7 +265,7 @@ def brute_force_search(queries, utterances, embed, wcfg):
                     best = i
             entries.append((utt_id, smoothed[best], starts[best], min(starts[best] + w, len(frames))))
         entries.sort(key=lambda e: (e[1], e[0]))
-        out[q.keyword_id] = entries
+        out[keyword_id] = entries
     return out
 
 
@@ -290,10 +294,7 @@ class TestSearchOracle:
             (7, seq(4, rng=rng)),  # one window
             (5, seq(50, rng=rng)),
         ]
-        queries = [
-            KeywordQuery(keyword_id=k, fused=v)
-            for k, v in [(3, rng.normal(size=4)), (1, np.zeros(4)), (8, rng.normal(size=4)), (6, rng.normal(size=4))]
-        ]
+        queries = {3: rng.normal(size=4), 1: np.zeros(4), 8: rng.normal(size=4), 6: rng.normal(size=4)}
         got = search(queries, utterances, None, None, wcfg)
         want = brute_force_search(queries, utterances, self.frame_sum, wcfg)
         assert sorted(got) == sorted(want)

@@ -107,9 +107,12 @@ class TestEvaluate:
         report = evaluate({0: ranked([1, 2, 9, 8])}, {0: {1, 2, 8}})
         assert report.per_keyword[0].p_at_n == pytest.approx(2 / 3)
 
-    def test_missing_relevance_rejected(self):
-        with pytest.raises(ValidationError, match="keyword 0"):
+    def test_unjudged_keyword_not_scored(self):
+        with pytest.raises(ValidationError, match="no keywords to evaluate"):
             evaluate({0: ranked([1])}, {})
+        report = evaluate({0: ranked([1]), 1: ranked([2, 1], keyword_id=1)}, {1: {1}})
+        assert [m.keyword_id for m in report.per_keyword] == [1]
+        assert report.map == 0.5
 
     def test_random_ranking_expected_p_at_n(self):
         # with r relevant out of u utterances, E[P@N] under a uniformly
@@ -127,13 +130,13 @@ class TestEvaluate:
         rankings = {k: ranked(list(np.roll(np.arange(4), k)), keyword_id=k) for k in range(4)}
         relevance = {k: {0} for k in range(4)}
         report = evaluate(rankings, relevance)
-        groups = group_means(report, {0: 0, 1: 0, 2: 1, 3: 1})
+        groups = group_means(report, lambda k: k // 2)
         weighted = sum(g["map"] * g["num_keywords"] for g in groups.values()) / 4
         assert weighted == pytest.approx(report.map)
 
     def test_render_table_contains_rows(self):
         report = evaluate({0: ranked([1]), 1: ranked([1])}, {0: {1}, 1: {1}})
-        text = render_table(report, group_means(report, {0: 0, 1: 1}))
+        text = render_table(report, group_means(report, lambda k: k))
         assert "lang 0" in text and "lang 1" in text and "all" in text
 
 
