@@ -11,6 +11,12 @@ def _pair(v):
     return (v, v) if isinstance(v, int) else tuple(v)
 
 
+# Multiply-adds (M*N*K) at or below which OpenBLAS (0.3.31, SkylakeX) runs
+# a GEMM in small-matrix kernels whose rounding depends on operand layout.
+# Above it both layouts are packed alike and give the same bits.
+_SMALL_GEMM = 100**3
+
+
 def _im2col(xp: np.ndarray, kf, kt, sf, st, of, ot) -> np.ndarray:
     """Channel-major columns [C*kF*kT, B, oF*oT] of a padded input [B,C,F,T]."""
     b, c, _, _ = xp.shape
@@ -27,10 +33,13 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     input with requires_grad False gets no input gradient.
 
     BLAS picks its kernel, and so its rounding, by operand shape and memory
-    layout. Each product reads its operands as a batch-major
-    [B, C*kF*kT, oF*oT] im2col gives them (the dX GEMM runs all items at
-    once) and dX adds the taps in (i, j) order, so the bits do not depend
-    on the layouts used here."""
+    layout. The forward and dX products read their operands as a
+    batch-major [B, C*kF*kT, oF*oT] im2col gives them (the dX GEMM runs all
+    items at once) and dX adds the taps in (i, j) order. dW reads the
+    channel-major columns in place, as an F-ordered view, where that gives
+    the bits of the batch-major rows (see `_SMALL_GEMM`), and a C-ordered
+    copy of them elsewhere. So the bits do not depend on the layouts used
+    here."""
     sf, st = _pair(stride)
     pf, pt = _pair(pad)
     if x.value.ndim != 4 or w.value.ndim != 4:
@@ -62,10 +71,12 @@ def conv2d(x: Tensor, w: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     out = Tensor(out_val, (x, w))
 
     def backward(g):
-        # the rows np.tensordot makes of batch-major columns: a C-ordered
-        # copy, but an F-ordered view for one item
+        # np.tensordot of batch-major columns reads C-ordered rows: a copy,
+        # but an F-ordered view for one item. Above BLAS's small-GEMM bound
+        # the view gives the copy's bits, so only vector paths and small
+        # products pay for the copy.
         rows = cols.reshape(-1, n).T
-        if b > 1:
+        if b > 1 and (vector_path or w2.size * n <= _SMALL_GEMM):
             rows = np.ascontiguousarray(rows)
         w._accumulate(np.dot(g.transpose(1, 0, 2, 3).reshape(o, n), rows).reshape(w.shape))
         if not x.requires_grad:

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,6 +213,29 @@ def special_like(rng, shape):
     return x
 
 
+# OpenBLAS's small-matrix GEMM bound in multiply-adds: at or below it the
+# kernel, and so the rounding, depends on the operands' memory layout.
+SMALL_GEMM = 100**3
+
+
+def dw_macs(x_shape, w_shape, stride, pad):
+    """Multiply-adds of conv2d's weight-gradient GEMM, O x B*oF*oT x C*kF*kT."""
+    b, _, f, t = x_shape
+    of = (f + 2 * pad[0] - w_shape[2]) // stride[0] + 1
+    ot = (t + 2 * pad[1] - w_shape[3]) // stride[1] + 1
+    return math.prod(w_shape) * b * of * ot
+
+
+def shape_at_bound(b, w_shape, stride, pad, above):
+    """The input [B, C, F, T], T odd, whose dW GEMM is the closest at or
+    below SMALL_GEMM, or the closest above it."""
+    _, c, kf, kt = w_shape
+    shapes = [(b, c, f, t) for f in range(kf, 65) for t in range(kt | 1, 1000, 2)]
+    macs = {s: dw_macs(s, w_shape, stride, pad) for s in shapes}
+    side = [s for s in shapes if (macs[s] > SMALL_GEMM) == above]
+    return min(side, key=lambda s: abs(macs[s] - SMALL_GEMM))
+
+
 class TestKernelsMatchReference:
     @pytest.mark.parametrize("t_frames", [*range(24, 42), 80])
     @pytest.mark.parametrize("batch", [2, 48, 64])
@@ -271,6 +297,30 @@ class TestKernelsMatchReference:
             x = relu_like(rng, x_shape)
             check_conv2d_bits(rng, x, rng.normal(size=w_shape).astype(np.float32), stride, pad)
 
+    @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 17, 32])
+    @pytest.mark.parametrize(
+        "w_shape,stride,pad",
+        [((8, 1, 7, 7), (2, 2), (3, 3)), ((8, 8, 3, 3), (1, 1), (1, 1))],
+        ids=["conv1", "stage1"],
+    )
+    def test_small_gemm_bound(self, w_shape, stride, pad, batch, above):
+        # below the bound dW's rounding depends on its operands' layout
+        x_shape = shape_at_bound(batch, w_shape, stride, pad, above)
+        assert (dw_macs(x_shape, w_shape, stride, pad) > SMALL_GEMM) == above
+        rng = np.random.default_rng(2 * batch + above)
+        x = relu_like(rng, x_shape)
+        check_conv2d_bits(rng, x, rng.normal(size=w_shape).astype(np.float32), stride, pad)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_projection_below_bound(self, seed):
+        # res3.0.proj at a training step's shape (B 32, T 40)
+        x_shape, w_shape, stride = (32, 16, 8, 5), (32, 16, 1, 1), (2, 2)
+        assert dw_macs(x_shape, w_shape, stride, (0, 0)) <= SMALL_GEMM
+        rng = np.random.default_rng(seed)
+        x = relu_like(rng, x_shape)
+        check_conv2d_bits(rng, x, rng.normal(size=w_shape).astype(np.float32), stride, (0, 0))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_maxpool_ties(self, seed):
         # windows with 2-4 equal maxima, -0.0/0.0 pairs, and partial edge
@@ -300,6 +350,25 @@ class TestKernelsMatchReference:
 
 
 class TestConv2d:
+    def test_weight_gradient_reads_columns_in_place(self):
+        # conv1 at a training step's shape: its dW must not copy the
+        # [B*oF*oT, 49] im2col rows
+        rng = np.random.default_rng(5)
+        x = tk.Tensor(rng.normal(size=(32, 1, 64, 40)).astype(np.float32), requires_grad=False)
+        w = tk.Tensor(rng.normal(size=(8, 1, 7, 7)).astype(np.float32))
+        out = tk.conv2d(x, w, stride=(2, 2), pad=(3, 3))
+        g = rng.normal(size=out.shape).astype(np.float32)
+        rows_bytes = out.value[:, 0].size * 49 * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert w.grad is not None
+        assert peak < rows_bytes
+
     def test_identity_kernel(self):
         x = np.random.default_rng(0).normal(size=(1, 1, 4, 5))
         w = np.ones((1, 1, 1, 1))
